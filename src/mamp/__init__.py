@@ -6,13 +6,13 @@ from .core import (Config, Conflict, Constraint, ConstraintIndex, Path,
                    detect_conflicts, path_cost, strip_time, violates)
 from .domains import (ArmDomain, ArmSpec, Disc, GridDomain, Segment,
                       forward_kinematics, get_successors)
-from .lowlevel import (FocalQueue, LLParams, LowLevelResult, heuristic,
+from .lowlevel import (FocalQueue, LLParams, LowLevelResult,
                        push_partial_experience, solve, suffix,
                        try_insert_or_update)
 from .highlevel import (CTNode, CTQueue, OracleGuardError, PlanResult,
                         PlannerConfig, expand_ct_node, plan,
                         plan_coupled_oracle, plan_prioritized, run_planner,
-                        select_ct_node, validate_solution)
+                        validate_solution)
 from .postprocess import ShortcutReport, shortcut_solution
 from .scene import Scene, SceneError, parse_scene, serialize_scene
 from .bench import (ExperimentSpec, MetricsRow, default_paper_params,
@@ -28,9 +28,9 @@ __all__ = [
     "SceneError", "ShortcutReport", "Solution", "concat_paths",
     "conflict_to_constraints", "default_paper_params", "detect_conflicts",
     "expand_ct_node", "forward_kinematics", "generate_scene",
-    "get_successors", "heuristic", "parse_scene", "path_cost", "plan",
+    "get_successors", "parse_scene", "path_cost", "plan",
     "plan_coupled_oracle", "plan_prioritized", "push_partial_experience",
-    "revalidate_dump", "run_experiments", "run_planner", "select_ct_node",
+    "revalidate_dump", "run_experiments", "run_planner",
     "serialize_scene", "shortcut_solution", "solve", "strip_time", "suffix",
     "try_insert_or_update", "validate_solution", "violates",
 ]

@@ -341,9 +341,11 @@ def dump_solution(scene_id: str, planner: str, trial: int,
 
 def revalidate_dump(scene_text: str, dump_text: str,
                     eps: float = 1e-6) -> tuple[bool, str]:
-    """Re-check a dumped solution from its serialized form: conflict-free,
-    cost consistent, and within the w1L*w2L*wH bound of the stored lower
-    bound."""
+    """Re-check a dumped solution from its serialized form: each path runs
+    from its scene start to its goal by waits and statically valid lattice
+    moves, the solution is conflict-free, the cost is consistent, and it is
+    within the w1L*w2L*wH bound of the stored lower bound. A malformed dump
+    yields (False, reason) as well."""
     scene = parse_scene(scene_text)
     domain = scene.build_domain()
     paths: list[Path] = []
@@ -351,25 +353,41 @@ def revalidate_dump(scene_text: str, dump_text: str,
     lb = None
     factor = 1.0
     current: list | None = None
-    for line in dump_text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "cost_steps":
-            cost_steps = int(parts[1])
-        elif parts[0] == "lb":
-            lb = None if parts[1] == "-" else float(parts[1])
-        elif parts[0] == "w1l":
-            factor = float(parts[1]) * float(parts[3]) * float(parts[5])
-        elif parts[0] == "path":
-            current = []
-        elif parts[0] == "endpath":
-            paths.append(Path(tuple(current)))
-            current = None
-        elif current is not None:
-            current.append(tuple(int(v) for v in parts[1:]))
+    try:
+        for line in dump_text.splitlines():
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "cost_steps":
+                cost_steps = int(parts[1])
+            elif parts[0] == "lb":
+                lb = None if parts[1] == "-" else float(parts[1])
+            elif parts[0] == "w1l":
+                factor = float(parts[1]) * float(parts[3]) * float(parts[5])
+            elif parts[0] == "path":
+                current = []
+            elif parts[0] == "endpath":
+                if current is None:
+                    raise ValueError("'endpath' outside a path")
+                paths.append(Path(tuple(current)))
+                current = None
+            elif current is not None:
+                current.append(tuple(int(v) for v in parts[1:]))
+    except (ValueError, IndexError) as exc:
+        return False, f"malformed dump: {exc}"
     if len(paths) != len(scene.starts):
         return False, "agent count mismatch"
+    for i, (path, start, goal) in enumerate(zip(paths, scene.starts, scene.goals)):
+        wps = path.waypoints
+        if not wps or wps[0] != start or wps[-1] != goal:
+            return False, f"agent {i}: path does not run from {start} to {goal}"
+        for t, q in enumerate(wps):
+            if len(q) != len(start) or not domain.is_state_valid(i, q):
+                return False, f"agent {i}: invalid state {q} at t={t}"
+        for t, (q, q2) in enumerate(zip(wps, wps[1:])):
+            if q != q2 and not (domain.is_lattice_edge(i, q, q2)
+                                and domain.is_edge_valid(i, q, q2)):
+                return False, f"agent {i}: invalid move {q} -> {q2} at t={t}"
     if detect_conflicts(paths, domain):
         return False, "dumped solution has conflicts"
     total = sum(path_cost(p) for p in paths)

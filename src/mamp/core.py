@@ -143,6 +143,16 @@ def strip_time(path: Path) -> Experience:
     return tuple(path.waypoints)
 
 
+def step_collides(domain: PairwiseChecker, i: int, qi0: Config, qi1: Config,
+                  j: int, qj0: Config, qj1: Config) -> bool:
+    """The per-timestep collision rule: agents i and j collide over one step
+    iff their arrival configurations touch or, when either agent moves,
+    their sweeps do. The arrival test runs first."""
+    return domain.pairwise_collision(i, qi1, qi1, j, qj1, qj1) or (
+        (qi0 != qi1 or qj0 != qj1)
+        and domain.pairwise_collision(i, qi0, qi1, j, qj0, qj1))
+
+
 def _pair_conflicts(paths: Sequence[Path], domain: PairwiseChecker,
                     i: int, j: int) -> list[Conflict]:
     pi, pj = paths[i], paths[j]

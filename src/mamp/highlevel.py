@@ -8,6 +8,9 @@ One parameterized best-first/focal search covers the whole family:
 * xcbs   -- cbs + warm-starting each replan with the parent node's path.
 * xecbs  -- ecbs + experience, path-aware experience termination by default.
 
+Both levels run the same focal search: CT nodes go through
+`lowlevel.FocalQueue`, with `CTQueue` supplying the keys (f1H, cost, f2H).
+
 `plan_prioritized` is the sequential baseline (incomplete by design) and
 `plan_coupled_oracle` searches the composite space exhaustively; it is exact
 and only meant for desk-scale cross-checking.
@@ -27,7 +30,8 @@ from typing import Optional, Sequence
 
 from .core import (Conflict, Constraint, ConstraintIndex, Path, Solution,
                    conflict_to_constraints, conflicts_with_agent,
-                   detect_conflicts, path_cost, strip_time, violates)
+                   detect_conflicts, path_cost, step_collides, strip_time,
+                   violates)
 from .domains.base import LatticeDomain
 from . import lowlevel
 from .lowlevel import LLParams
@@ -118,8 +122,8 @@ class CTNode:
     conflicts: tuple[Conflict, ...]
     lbs: tuple[float, ...]
     parent: Optional["CTNode"] = field(default=None, repr=False)
-    popped: bool = field(default=False, repr=False)
-    admitted: bool = field(default=False, repr=False)
+    in_open: bool = field(default=False, repr=False)
+    ver = 0  # queue entry version; CT nodes are never re-keyed
 
     @property
     def lb_total(self) -> float:
@@ -144,92 +148,28 @@ class PlanResult:
         return self.status == "success"
 
 
-class CTQueue:
-    """Insert-only focal structure for CT nodes.
-
-    OPEN is ordered by f1H (cost or LB); FOCAL holds the nodes with
-    cost <= wH * min f1H, ordered by f2H. When FOCAL admits nothing (can
-    happen at wH=1 with f1H=LB, where cost >= LB per node), the min-f1H
-    node is selected, which degenerates to plain best-first on f1H.
-    """
+class CTQueue(lowlevel.FocalQueue):
+    """The shared OPEN/FOCAL queue keyed for CT nodes: OPEN by f1H (cost or
+    LB), membership by cost <= wH * min f1H, FOCAL by f2H. When no node is
+    within the bound (cost can exceed LB), the bound drops to the cheapest
+    open cost if wH > 1; at wH = 1 the min-f1H node is selected, which is
+    plain best-first on f1H. Ties go to the earlier-created node."""
 
     def __init__(self, wH: float, f1_mode: str, f2_mode: str):
-        self.wH = wH
+        super().__init__(w2=wH, f2=f2_mode)
         self.f1_mode = f1_mode
-        self.f2_mode = f2_mode
-        self._by_f1: list = []
-        self._by_cost: list = []
-        self._pending: list = []
-        self._focal: list = []
-        self._tick = 0  # heap tiebreaker; CT nodes are unorderable
+        self.value_is_f1 = f1_mode == "cost"
 
-    def _f1(self, n: CTNode) -> float:
-        return n.lb_total if self.f1_mode == "lb" else float(n.cost)
+    def _f1_key(self, n: CTNode):
+        return (n.lb_total if self.f1_mode == "lb" else float(n.cost), n.index)
+
+    def _value(self, n: CTNode) -> float:
+        return float(n.cost)
 
     def _f2_key(self, n: CTNode):
-        if self.f2_mode == "conflicts":
+        if self.f2 == "conflicts":
             return (len(n.conflicts), n.cost, n.index)
         return (n.cost, n.index)
-
-    def insert(self, n: CTNode) -> None:
-        heapq.heappush(self._by_f1, (self._f1(n), n.index, n))
-        heapq.heappush(self._by_cost, (n.cost, n.index, n))
-        self._tick += 1
-        heapq.heappush(self._pending, (n.cost, n.index, self._tick, n))
-
-    def __len__(self) -> int:
-        return sum(1 for _, _, n in self._by_f1 if not n.popped)
-
-    def pop(self) -> tuple[CTNode | None, float | None]:
-        """Returns (selected node, min f1H at selection)."""
-        while self._by_f1 and self._by_f1[0][2].popped:
-            heapq.heappop(self._by_f1)
-        if not self._by_f1:
-            return None, None
-        base = self._by_f1[0][0]
-        bound = self.wH * base
-        if self.wH > 1.0:
-            # Loose lower bounds can empty the focal set entirely (cost >= LB
-            # per node); flooring the threshold at the cheapest open node
-            # keeps f2 guidance alive without weakening the wH*wL*C* bound.
-            while self._by_cost and self._by_cost[0][2].popped:
-                heapq.heappop(self._by_cost)
-            if self._by_cost:
-                bound = max(bound, float(self._by_cost[0][0]))
-        while self._pending:
-            cost, _, _t, node = self._pending[0]
-            if node.popped or node.admitted:
-                heapq.heappop(self._pending)
-                continue
-            if cost > bound:
-                break
-            heapq.heappop(self._pending)
-            node.admitted = True
-            self._tick += 1
-            heapq.heappush(self._focal, (self._f2_key(node), self._tick, node))
-        while self._focal:
-            _, _t, node = heapq.heappop(self._focal)
-            if node.popped or not node.admitted:
-                continue
-            if node.cost > bound:  # threshold shrank since admission
-                node.admitted = False
-                self._tick += 1
-                heapq.heappush(self._pending, (node.cost, node.index, self._tick, node))
-                continue
-            node.popped = True
-            return node, base
-        while self._by_f1:  # focal empty: fall back to min f1H
-            _, _, node = heapq.heappop(self._by_f1)
-            if not node.popped:
-                node.popped = True
-                return node, base
-        return None, None
-
-
-def select_ct_node(queue: CTQueue) -> CTNode | None:
-    """Next CT node under the configured focal rule."""
-    node, _ = queue.pop()
-    return node
 
 
 def _check_instance(domain: LatticeDomain, starts, goals) -> tuple[list, list]:
@@ -354,12 +294,12 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     while True:
         if time.monotonic() > deadline:
             return finish("timeout", ct_expansions=ct_expansions)
-        node, base = queue.pop()
+        node = queue.pop()
         if node is None:
             return finish("exhausted", ct_expansions=ct_expansions)
         if not node.conflicts:
             return finish("success", solution=Solution(node.paths), cost=node.cost,
-                          lb=base, ct_expansions=ct_expansions,
+                          lb=queue.base, ct_expansions=ct_expansions,
                           constraints=node.constraints)
         ct_expansions += 1
         children, ll_exp, timed_out = expand_ct_node(
@@ -445,13 +385,8 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
                           wall_time=time.perf_counter() - t0, **kw)
 
     def composite_ok(frm, to) -> bool:
-        for i, j in itertools.combinations(range(n), 2):
-            if domain.pairwise_collision(i, to[i], to[i], j, to[j], to[j]):
-                return False
-            moving = to[i] != frm[i] or to[j] != frm[j]
-            if moving and domain.pairwise_collision(i, frm[i], to[i], j, frm[j], to[j]):
-                return False
-        return True
+        return not any(step_collides(domain, i, frm[i], to[i], j, frm[j], to[j])
+                       for i, j in itertools.combinations(range(n), 2))
 
     start_cfg = tuple(starts)
     goal_cfg = tuple(goals)

@@ -1,7 +1,9 @@
 """Single-agent planner over timed lattice states.
 
 A focal weighted-A* search: OPEN is ordered by f1 = g + w1*h and FOCAL is
-the sub-queue {s : f1(s) <= w2 * min f1} ordered by f2. A previously found
+the sub-queue {s : f1(s) <= w2 * min f1} ordered by f2. `FocalQueue` is
+the one OPEN/FOCAL implementation of the package: the constraint-tree
+search reuses it with its own keys (`highlevel.CTQueue`). A previously found
 path can be passed in as a time-stripped *experience*; its still-valid
 suffixes are injected into OPEN so the search can jump over regions it
 already explored in an earlier query. With an empty experience the search
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import Config, ConstraintIndex, Constraint, Path
+from .core import Config, ConstraintIndex, Constraint, Path, step_collides
 from .domains.base import LatticeDomain, get_successors
 
 State = tuple[Config, int]
@@ -37,6 +39,10 @@ class LLParams:
     horizon: int | None = None     # None: latest constraint time + min(|V|, tmax)
     tmax: int = 128
     termination: str = "simple"    # experience walk: "simple" | "path-aware"
+
+    def __post_init__(self):
+        if min(self.w1, self.w2) < 1.0:
+            raise ValueError("suboptimality factors must be >= 1")
 
 
 @dataclass
@@ -55,8 +61,7 @@ class LowLevelResult:
 
 
 class SearchNode:
-    __slots__ = ("state", "g", "h", "f1", "cc", "parent", "in_open",
-                 "closed", "ver", "admitted")
+    __slots__ = ("state", "g", "h", "f1", "cc", "parent", "in_open", "ver")
 
     def __init__(self, state: State):
         self.state = state
@@ -66,19 +71,28 @@ class SearchNode:
         self.cc = 0
         self.parent: SearchNode | None = None
         self.in_open = False
-        self.closed = False
         self.ver = 0
-        self.admitted = False
 
 
 class FocalQueue:
-    """OPEN/FOCAL pair with lazy-deletion heaps.
+    """OPEN/FOCAL queue with lazy-deletion heaps, shared by both search
+    levels (the constraint tree subclasses it as ``highlevel.CTQueue``).
 
-    Newly qualified nodes are admitted into FOCAL whenever the f1 threshold
-    grows; nodes whose f1 exceeds a shrunken threshold are demoted back at
-    extraction time, so the focal membership condition holds exactly at
-    every extraction.
+    Three heaps: pending holds the open nodes not in FOCAL, ordered by their
+    membership value; FOCAL holds the admitted nodes, ordered by f2; OPEN
+    holds nodes ordered by f1: every open node, or only the admitted ones
+    while ``value_is_f1`` (pending then ranks the rest by f1 itself). A pop
+    admits every pending node whose value is within ``w2 * min f1`` and
+    demotes FOCAL nodes that a shrunken bound no longer covers, so focal
+    membership holds exactly at every extraction. If nothing is within the
+    bound (possible only when the value exceeds f1, as a CT node's cost can
+    exceed its LB), a second pass admits at the cheapest pending value when
+    w2 > 1; otherwise the min-f1 node is taken. Entries go stale when their
+    node closes or is re-keyed (``ver``). The key methods below are the low
+    level's: f1 = g + w1*h is also the value; f2 is f1 or the conflicts.
     """
+
+    value_is_f1 = True
 
     def __init__(self, w1: float = 1.0, w2: float = 1.0, f2: str = "f1",
                  h_fn: Callable[[State], float] = lambda s: 0.0,
@@ -89,59 +103,84 @@ class FocalQueue:
         self.h_fn = h_fn
         self.cc_fn = cc_fn
         self.nodes: dict[State, SearchNode] = {}
-        self._pending: list = []   # not yet in focal, ordered by f1
-        self._admitted: list = []  # focal members, ordered by f1 (for min f1)
-        self._focal: list = []     # focal members, ordered by f2
-        self._bound: float | None = None
+        self.base: float | None = None  # min f1 at the last extraction
+        self._open: list = []
+        self._pending: list = []
+        self._focal: list = []
+        self._bound = -INF
         self._tick = 0             # heap tiebreaker; nodes are unorderable
 
-    # -- internals -----------------------------------------------------------
-
-    def _open_key(self, n: SearchNode):
+    def _f1_key(self, n):
         return (n.f1, -n.g, n.state)
 
-    def _f2_key(self, n: SearchNode):
+    def _value(self, n) -> float:
+        return n.f1
+
+    def _f2_key(self, n):
         if self.f2 == "conflicts":
             return (n.cc, n.f1, n.state)
         return (n.f1, -n.g, n.state)
 
-    def _push_admitted(self, n: SearchNode) -> None:
-        n.admitted = True
+    def _push(self, heap: list, key, n) -> None:
         self._tick += 1
-        heapq.heappush(self._admitted, (*self._open_key(n), n.ver, self._tick, n))
-        heapq.heappush(self._focal, (self._f2_key(n), n.ver, self._tick, n))
-
-    def _push_pending(self, n: SearchNode) -> None:
-        n.admitted = False
-        self._tick += 1
-        heapq.heappush(self._pending, (*self._open_key(n), n.ver, self._tick, n))
-
-    def _enqueue(self, n: SearchNode) -> None:
-        n.in_open = True
-        if self._bound is not None and n.f1 <= self._bound:
-            self._push_admitted(n)
-        else:
-            self._push_pending(n)
+        heapq.heappush(heap, (key, n.ver, self._tick, n))
 
     @staticmethod
-    def _clean(heap: list, admitted: bool) -> None:
+    def _top(heap: list):
+        """First live entry of ``heap`` after dropping stale ones, or None."""
         while heap:
-            entry = heap[0]
-            node = entry[-1]
-            if node.in_open and node.ver == entry[-3] and node.admitted == admitted:
-                return
+            node = heap[0][3]
+            if node.in_open and node.ver == heap[0][1]:
+                return heap[0]
             heapq.heappop(heap)
+        return None
 
-    def min_f1(self) -> float | None:
-        self._clean(self._pending, False)
-        self._clean(self._admitted, True)
-        best = None
-        for heap in (self._pending, self._admitted):
-            if heap and (best is None or heap[0][0] < best):
-                best = heap[0][0]
-        return best
+    def _admit(self, n) -> None:
+        if self.value_is_f1:
+            self._push(self._open, self._f1_key(n), n)
+        self._push(self._focal, self._f2_key(n), n)
 
-    # -- queue API -------------------------------------------------------------
+    def insert(self, n) -> None:
+        n.in_open = True
+        if not self.value_is_f1:
+            self._push(self._open, self._f1_key(n), n)
+        if self._value(n) <= self._bound:
+            self._admit(n)
+        else:
+            self._push(self._pending, self._value(n), n)
+
+    def _pop_focal(self, bound: float):
+        self._bound = bound
+        pending, focal = self._pending, self._focal
+        while (entry := self._top(pending)) and entry[0] <= bound:
+            heapq.heappop(pending)
+            self._admit(entry[3])
+        while entry := self._top(focal):
+            heapq.heappop(focal)
+            node = entry[3]
+            if self._value(node) <= bound:
+                return node
+            self._push(pending, self._value(node), node)  # bound shrank
+        return None
+
+    def pop(self):
+        """Extract the min-f2 open node within the focal bound, recording the
+        min f1 at extraction in ``base``; None when nothing is open."""
+        top = self._top(self._open)
+        base = top[0][0] if top else None
+        if self.value_is_f1:
+            waiting = self._top(self._pending)
+            if waiting and (base is None or waiting[0] < base):
+                base = waiting[0]
+        if base is None:
+            return None
+        self.base = base
+        node = self._pop_focal(self.w2 * base)
+        if node is None:
+            node = self._pop_focal(self._pending[0][0]) if self.w2 > 1.0 \
+                else heapq.heappop(self._open)[3]
+        node.in_open = False
+        return node
 
     def push_root(self, state: State) -> SearchNode:
         n = SearchNode(state)
@@ -149,35 +188,8 @@ class FocalQueue:
         n.h = self.h_fn(state)
         n.f1 = self.w1 * n.h
         self.nodes[state] = n
-        self._enqueue(n)
+        self.insert(n)
         return n
-
-    def pop(self) -> SearchNode | None:
-        base = self.min_f1()
-        if base is None:
-            return None
-        self._bound = self.w2 * base
-        while self._pending:
-            entry = self._pending[0]
-            node = entry[-1]
-            if not (node.in_open and node.ver == entry[-3] and not node.admitted):
-                heapq.heappop(self._pending)
-                continue
-            if entry[0] > self._bound:
-                break
-            heapq.heappop(self._pending)
-            self._push_admitted(node)
-        while self._focal:
-            _, ver, _tick, node = heapq.heappop(self._focal)
-            if not (node.in_open and node.ver == ver and node.admitted):
-                continue
-            if node.f1 > self._bound:  # threshold shrank since admission
-                self._push_pending(node)
-                continue
-            node.in_open = False
-            node.closed = True
-            return node
-        return None
 
     def lower_bound_remaining(self) -> float:
         live = [n.g + n.h for n in self.nodes.values() if n.in_open]
@@ -203,8 +215,7 @@ def try_insert_or_update(queue: FocalQueue, parent: SearchNode, state: State,
     if queue.cc_fn is not None:
         node.cc = parent.cc + queue.cc_fn(parent.state, state)
     node.ver += 1
-    node.closed = False
-    queue._enqueue(node)
+    queue.insert(node)
     return True
 
 
@@ -233,12 +244,6 @@ def push_partial_experience(queue: FocalQueue, experience: Sequence[Config],
         try_insert_or_update(queue, cur, (q, t0 + 1))
         cur = queue.nodes[(q, t0 + 1)]
         q0, t0 = q, t0 + 1
-
-
-def heuristic(domain: LatticeDomain, agent: int, q: Config, goal: Config) -> float:
-    """Admissible cost-to-go estimate in timestep units (Manhattan distance
-    on grids; normalized L2 joint-angle distance on arms)."""
-    return domain.heuristic(agent, q, goal)
 
 
 def _normalize_experience(experience) -> tuple[tuple[Config, ...], ...]:
@@ -282,14 +287,16 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     others = list(other_paths) if other_paths else []
     checks_before = domain.stats.geometry_checks
 
-    def others_hit(q: Config, t: int, q2: Config) -> bool:
+    def hits(q: Config, t: int, q2: Config, first: bool = False) -> int:
+        # other agents that the move q -> q2 departing at t collides with;
+        # with ``first``, 1 as soon as one does
+        n = 0
         for jid, pj in others:
-            a, b = pj.at(t), pj.at(t + 1)
-            if domain.pairwise_collision(agent, q2, q2, jid, b, b):
-                return True
-            if (q2 != q or b != a) and domain.pairwise_collision(agent, q, q2, jid, a, b):
-                return True
-        return False
+            if step_collides(domain, agent, q, q2, jid, pj.at(t), pj.at(t + 1)):
+                if first:
+                    return 1
+                n += 1
+        return n
 
     cc_fn = None
     if params.f2 == "conflicts" and others:
@@ -302,23 +309,12 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
                    if domain.pairwise_collision(agent, goal, goal, jid, pj.end, pj.end))
         parked_after = [tail] * (last + 2)
         for t in range(last, -1, -1):
-            hits = 0
-            for jid, pj in others:
-                a, b = pj.at(t), pj.at(t + 1)
-                if domain.pairwise_collision(agent, goal, goal, jid, b, b) or \
-                        (b != a and domain.pairwise_collision(agent, goal, goal, jid, a, b)):
-                    hits += 1
-            parked_after[t] = parked_after[t + 1] + hits
+            parked_after[t] = parked_after[t + 1] + hits(goal, t, goal)
 
         def cc_fn(s1: State, s2: State) -> int:
             q, t = s1
             q2 = s2[0]
-            n = 0
-            for jid, pj in others:
-                a, b = pj.at(t), pj.at(t + 1)
-                if domain.pairwise_collision(agent, q2, q2, jid, b, b) or \
-                        ((q2 != q or b != a) and domain.pairwise_collision(agent, q, q2, jid, a, b)):
-                    n += 1
+            n = hits(q, t, q2)
             if q2 == goal:
                 n += parked_after[min(t + 1, last + 1)]
             return n
@@ -331,13 +327,13 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
         if q2 != q and not (domain.is_lattice_edge(agent, q, q2)
                             and domain.is_edge_valid(agent, q, q2)):
             return False
-        if hard_paths and others_hit(q, t, q2):
+        if hard_paths and hits(q, t, q2, first=True):
             return False
         return True
 
     if params.termination == "path-aware" and others:
         def exp_move_ok(q, t, q2):
-            return move_ok(q, t, q2) and not others_hit(q, t, q2)
+            return move_ok(q, t, q2) and not hits(q, t, q2, first=True)
     else:
         exp_move_ok = move_ok
 
@@ -397,6 +393,6 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
             if q in configs:
                 push_partial_experience(queue, seq, node, exp_move_ok)
         for s2, _cost in get_successors(domain, agent, node.state, cidx, horizon):
-            if hard_paths and others_hit(q, t, s2[0]):
+            if hard_paths and hits(q, t, s2[0], first=True):
                 continue
             try_insert_or_update(queue, node, s2)

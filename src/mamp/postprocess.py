@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Config, Path, Solution, detect_conflicts, path_cost
+from .core import (Config, Path, Solution, detect_conflicts, path_cost,
+                   step_collides)
 from .domains.base import LatticeDomain
 
 
@@ -52,19 +53,12 @@ def _interpolate_span(a: Config, b: Config, duration: int) -> list[Config]:
 
 def _span_ok(domain: LatticeDomain, agent: int, candidate: list[Config],
              start_t: int, others: list[tuple[int, Path]]) -> bool:
-    for k in range(len(candidate) - 1):
-        q, q2 = candidate[k], candidate[k + 1]
-        if q2 != q:
-            if domain.kind == "grid" and not domain.is_lattice_edge(agent, q, q2):
-                return False
-            if not (domain.is_state_valid(agent, q2) and domain.is_edge_valid(agent, q, q2)):
-                return False
-        t = start_t + k
+    for t, (q, q2) in enumerate(zip(candidate, candidate[1:]), start_t):
+        if q2 != q and not (domain.is_state_valid(agent, q2)
+                            and domain.is_edge_valid(agent, q, q2)):
+            return False
         for jid, pj in others:
-            oa, ob = pj.at(t), pj.at(t + 1)
-            if domain.pairwise_collision(agent, q2, q2, jid, ob, ob):
-                return False
-            if (q2 != q or ob != oa) and domain.pairwise_collision(agent, q, q2, jid, oa, ob):
+            if step_collides(domain, agent, q, q2, jid, pj.at(t), pj.at(t + 1)):
                 return False
     return True
 

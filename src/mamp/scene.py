@@ -110,6 +110,8 @@ def _parse_arm(parts: list[str], ln: int) -> ArmSpec:
         raw_limits = [int(v) for v in fields["limits"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise SceneError(f"line {ln}: bad arm descriptor ({exc})") from None
+    if not links:
+        raise SceneError(f"line {ln}: an arm needs at least one link")
     if len(raw_limits) != 2 * len(links):
         raise SceneError(f"line {ln}: limits must give one lo/hi pair per link")
     limits = tuple((raw_limits[2 * k], raw_limits[2 * k + 1]) for k in range(len(links)))

@@ -166,6 +166,31 @@ def plain_focal_wastar(domain, agent, start, goal, constraints=(),
     return None, trace
 
 
+def select_ct_node(nodes, wH, f1H, f2H):
+    """Brute-force CT node selection among the unpopped ``nodes``: FOCAL is
+    every node with cost <= wH * min f1H, the bound floored at the minimum
+    cost when wH > 1, and its min-f2H node wins; with FOCAL empty, the node
+    with the minimum (f1H, index). None when ``nodes`` is empty."""
+    if not nodes:
+        return None
+
+    def f1(n):
+        return n.lb_total if f1H == "lb" else float(n.cost)
+
+    def f2(n):
+        if f2H == "conflicts":
+            return (len(n.conflicts), n.cost, n.index)
+        return (n.cost, n.index)
+
+    bound = wH * min(f1(n) for n in nodes)
+    if wH > 1:
+        bound = max(bound, min(n.cost for n in nodes))
+    focal = [n for n in nodes if n.cost <= bound]
+    if focal:
+        return min(focal, key=f2)
+    return min(nodes, key=lambda n: (f1(n), n.index))
+
+
 def dense_edge_valid(domain, agent, q, q2, factor=100):
     """Edge validity sampled at ``factor`` times the domain's declared
     sub-step density (superset of the checker's sample points)."""

@@ -19,6 +19,25 @@ agent start 3 0 goal 0 1
 """
 
 
+WALL_DOC = """domain grid
+map
+...
+.#.
+...
+endmap
+agent start 0 0 goal 2 0
+"""
+
+
+def _dump(cost, *waypoints):
+    lines = [f"cost_steps {cost}", "lb -", "w1l 1.0 w2l 1.0 wh 1.0", "path 0"]
+    lines += [f"{t} {x} {y}" for t, (x, y) in enumerate(waypoints)]
+    return "\n".join(lines + ["endpath"]) + "\n"
+
+
+GOOD_DUMP = _dump(2, (0, 0), (1, 0), (2, 0))
+
+
 def _planners(*names, timeout=10.0):
     registry = default_paper_params(timeout=timeout)
     return [(n, registry[n]) for n in names]
@@ -122,6 +141,26 @@ class TestRunExperiments:
         broken = text.replace("cost_steps ", "cost_steps 9")
         ok, detail = revalidate_dump(scene_text, broken)
         assert not ok and "cost" in detail
+
+    @pytest.mark.parametrize("dump,fragment", [
+        (_dump(1, (0, 0), (2, 0)), "invalid move"),
+        (_dump(4, (0, 0), (0, 1), (1, 1), (2, 1), (2, 0)), "invalid state"),
+        (_dump(1, (0, 2), (0, 1)), "does not run from"),
+    ], ids=["teleport", "through-wall", "wrong-endpoints"])
+    def test_revalidator_rejects_invalid_paths(self, dump, fragment):
+        assert revalidate_dump(WALL_DOC, GOOD_DUMP) == (True, "ok")
+        ok, detail = revalidate_dump(WALL_DOC, dump)
+        assert not ok and fragment in detail
+
+    @pytest.mark.parametrize("dump", [
+        "endpath\n" + GOOD_DUMP,
+        GOOD_DUMP.replace("w1l 1.0 w2l 1.0 wh 1.0", "w1l 1.0"),
+        GOOD_DUMP.replace("cost_steps 2", "cost_steps x"),
+        GOOD_DUMP.replace("\n0 0 0\n", "\n0 a b\n"),
+    ], ids=["stray-endpath", "short-w1l", "bad-cost", "bad-waypoint"])
+    def test_revalidator_is_total(self, dump):
+        ok, detail = revalidate_dump(WALL_DOC, dump)
+        assert not ok and "malformed" in detail
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="trials"):

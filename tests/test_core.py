@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mamp
 from mamp import (Conflict, Constraint, GridDomain, Path, concat_paths,
                   conflict_to_constraints, detect_conflicts, path_cost,
                   strip_time, violates)
@@ -186,3 +187,7 @@ class TestConstraintIndex:
         assert idx.no_future_constraints(A, 5)
         assert not idx.no_future_constraints(B, 4)  # parked wait hits t=4
         assert idx.no_future_constraints(B, 5)
+
+
+def test_every_public_name_resolves():
+    assert [name for name in mamp.__all__ if not hasattr(mamp, name)] == []

@@ -1,17 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mamp import (Conflict, Constraint, GridDomain, Path, PlannerConfig,
                   detect_conflicts, plan, plan_coupled_oracle,
                   plan_prioritized, solve, validate_solution, violates)
 from mamp.core import VERTEX
-from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node, select_ct_node
+from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
 from mamp.lowlevel import LLParams
 import mamp.highlevel as hl
 
 from corpus import grid_corpus
-from oracles import timed_optimal_cost
+from oracles import select_ct_node, timed_optimal_cost
 
 
 def cfg(variant, **kw):
@@ -145,7 +147,7 @@ class TestSelectCTNode:
         q.insert(a)
         q.insert(b)
         # bound = 1.3 * 10 = 13: both qualify, b has fewer conflicts
-        assert select_ct_node(q) is b
+        assert q.pop() is b
 
     def test_unit_wh_degenerates_to_min_lb(self):
         q = CTQueue(1.0, "lb", "conflicts")
@@ -153,7 +155,7 @@ class TestSelectCTNode:
         b = _fake_node(1, cost=11, lb=11, n_conflicts=1)
         q.insert(a)
         q.insert(b)
-        assert select_ct_node(q) is a
+        assert q.pop() is a
 
     def test_f2_tie_broken_by_cost_then_fifo(self):
         q = CTQueue(2.0, "cost", "conflicts")
@@ -162,9 +164,9 @@ class TestSelectCTNode:
         c = _fake_node(2, cost=11, lb=10, n_conflicts=2)
         for n in (a, b, c):
             q.insert(n)
-        assert select_ct_node(q) is b
-        assert select_ct_node(q) is c
-        assert select_ct_node(q) is a
+        assert q.pop() is b
+        assert q.pop() is c
+        assert q.pop() is a
 
     def test_cbs_selection_is_min_cost_fifo(self):
         q = CTQueue(1.0, "cost", "cost")
@@ -173,7 +175,37 @@ class TestSelectCTNode:
         c = _fake_node(2, cost=11, lb=0, n_conflicts=0)
         for n in (a, b, c):
             q.insert(n)
-        assert select_ct_node(q) is b  # cost then insertion order
+        assert q.pop() is b  # cost then insertion order
+
+
+CT_OPS = st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 12),
+                                                 st.integers(0, 24),
+                                                 st.integers(0, 3))),
+                  max_size=30)
+
+
+class TestCTSelectionProperty:
+    @pytest.mark.parametrize("wH", [1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("f1H", ["lb", "cost"])
+    @pytest.mark.parametrize("f2H", ["conflicts", "cost"])
+    @given(ops=CT_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_pop_matches_brute_force(self, wH, f1H, f2H, ops):
+        # an op is a pop (None) or an insert of (cost, 2*lb, conflicts);
+        # the queue is drained at the end
+        q = CTQueue(wH, f1H, f2H)
+        live = []
+        for index, op in enumerate(ops + [None] * len(ops)):
+            if op is None:
+                want = select_ct_node(live, wH, f1H, f2H)
+                assert q.pop() is want
+                if want is not None:
+                    live.remove(want)
+            else:
+                cost, half_lb, n_conflicts = op
+                node = _fake_node(index, cost, half_lb / 2, n_conflicts)
+                q.insert(node)
+                live.append(node)
 
 
 class TestPrioritized:
@@ -306,10 +338,10 @@ class TestCorpusProperties:
         bases = []
 
         def spy(queue):
-            node, base = orig(queue)
-            if base is not None:
-                bases.append(base)
-            return node, base
+            node = orig(queue)
+            if node is not None:
+                bases.append(queue.base)
+            return node
         CTQueue.pop = spy
         try:
             for inst in self.instances[:6]:

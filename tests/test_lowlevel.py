@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mamp.lowlevel as ll
 from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path,
                   strip_time)
 from mamp.core import ConstraintIndex
@@ -88,6 +87,10 @@ class TestSolveExamples:
             solve(g, 0, (0, 0), (2, 2), [Constraint.vertex(0, (1, 1), 9)],
                   params=LLParams(horizon=5))
 
+    def test_weights_below_one_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            LLParams(w2=0.5)
+
     def test_start_equals_goal(self):
         g = GridDomain(3, 3)
         r = solve(g, 0, (1, 1), (1, 1))
@@ -119,13 +122,13 @@ class TestTryInsertOrUpdate:
         far = q.push_root((A, 0))
         far.g = far.f1 = 6.0
         far.ver += 1
-        q._enqueue(far)
+        q.insert(far)
         try_insert_or_update(q, far, (B, 1))
         assert q.nodes[(B, 1)].g == 7
         near = q.push_root((C, 0))
         near.g = near.f1 = 3.0
         near.ver += 1
-        q._enqueue(near)
+        q.insert(near)
         assert try_insert_or_update(q, near, (B, 1))
         node = q.nodes[(B, 1)]
         assert node.g == 4 and node.parent is near
@@ -138,11 +141,10 @@ class TestTryInsertOrUpdate:
         try_insert_or_update(q, root, (B, 1))
         node = q.nodes[(B, 1)]
         node.in_open = False
-        node.closed = True
         shortcut = q.push_root((C, 0))
         shortcut.g = -5  # force a strictly better relaxation
         assert try_insert_or_update(q, shortcut, (B, 1))
-        assert node.in_open and not node.closed
+        assert node.in_open
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)), max_size=40))
     @settings(max_examples=60)
@@ -232,29 +234,29 @@ class TestPushPartialExperience:
 class TestHeuristic:
     def test_grid_manhattan(self):
         g = GridDomain(3, 3)
-        assert ll.heuristic(g, 0, (0, 0), (2, 2)) == 4
+        assert g.heuristic(0, (0, 0), (2, 2)) == 4
 
     def test_arm_zero_at_goal(self):
         d = one_joint_arm()
-        assert ll.heuristic(d, 0, (5,), (5,)) == 0.0
+        assert d.heuristic(0, (5,), (5,)) == 0.0
 
     def test_arm_steps_normalization(self):
         d = one_joint_arm()
-        assert ll.heuristic(d, 0, (2,), (5,)) == pytest.approx(3.0)
+        assert d.heuristic(0, (2,), (5,)) == pytest.approx(3.0)
 
     def test_arm_admissible_vs_timed_oracle(self):
         d = one_joint_arm()
         rng = random.Random(7)
         for _ in range(20):
             a, b = rng.randint(-16, 16), rng.randint(-16, 16)
-            h = ll.heuristic(d, 0, (a,), (b,))
+            h = d.heuristic(0, (a,), (b,))
             true = timed_optimal_cost(d, 0, (a,), (b,), horizon=40)
             assert h <= true + 1e-9
 
     def test_multi_joint_l2_below_l1(self):
         arm = ArmSpec((0.0, 0.0), (0.4, 0.4), RES, ((-16, 16),) * 2)
         d = ArmDomain([arm])
-        h = ll.heuristic(d, 0, (0, 0), (3, 4))
+        h = d.heuristic(0, (0, 0), (3, 4))
         assert h == pytest.approx(5.0)  # sqrt(9+16)
         assert h <= 7  # true cost is the L1 distance here
 

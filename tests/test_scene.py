@@ -77,6 +77,10 @@ class TestParsing:
         (lambda d: d.replace("agent start 0 0 goal 8 -3",
                              "agent start 0 goal 8 -3"), "joint indices"),
         (lambda d: d.replace("arm base 1 0", "arm base one 0"), "arm"),
+        (lambda d: d.replace("arm base 1 0 links 0.4 0.4 resolution 0.196349541"
+                             " limits -16 16 -16 16",
+                             "arm base 0 0 links resolution 0.196349541 limits"),
+         "at least one link"),
     ])
     def test_arm_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
