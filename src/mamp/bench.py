@@ -373,6 +373,8 @@ def revalidate_dump(scene_text: str, dump_text: str,
                 current = None
             elif current is not None:
                 current.append(tuple(int(v) for v in parts[1:]))
+        if not math.isfinite(factor) or (lb is not None and not math.isfinite(lb)):
+            raise ValueError(f"non-finite bound: lb {lb}, weights {factor}")
     except (ValueError, IndexError) as exc:
         return False, f"malformed dump: {exc}"
     if len(paths) != len(scene.starts):

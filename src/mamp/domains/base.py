@@ -1,18 +1,21 @@
-"""Shared domain plumbing: validity caching, geometry counters and
-constraint-aware successor expansion.
+"""Shared domain plumbing: validity caching, geometry counters,
+constraint-aware successor expansion and per-replan conflict counting.
 
 A domain is immutable after construction except for its counters and its
 internal memo tables, which only ever record verdicts that a fresh
 computation would reproduce (static environment). The transition cache
-supports concurrent readers with single-writer insertion; re-inserting an
-existing key with the same verdict is a no-op.
+holds the static state and edge verdicts and, built from them, the
+successor table: the valid successor configurations of each (agent, config)
+are computed once per domain and then served without re-querying a single
+verdict. The cache supports concurrent readers with single-writer
+insertion; re-inserting an existing key with the same verdict is a no-op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import Config, ConstraintIndex
+from ..core import Config, ConstraintIndex, step_collides
 
 
 @dataclass
@@ -21,7 +24,10 @@ class DomainStats:
 
     ``geometry_checks`` counts elementary geometric evaluations: one static
     test of a single configuration, or one body-body test of a configuration
-    pair. Cache and memo hits perform zero geometric tests.
+    pair. Cache and memo hits perform zero geometric tests. A successor-table
+    hit makes no state or edge query at all, so ``state_queries``,
+    ``edge_queries`` and ``cache_hits`` count only the first expansion of
+    each (agent, config).
     """
 
     geometry_checks: int = 0
@@ -33,12 +39,14 @@ class DomainStats:
 
 class TransitionCache:
     """Per-agent memo of static validity verdicts for configurations and
-    edges, reused across low-level searches within a planning query."""
+    edges, and of the valid successors of each configuration, reused across
+    low-level searches within a planning query."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._states: dict[int, dict] = {}
         self._edges: dict[int, dict] = {}
+        self._successors: dict[int, dict] = {}
 
     def lookup_state(self, agent: int, q: Config):
         if not self.enabled:
@@ -57,6 +65,15 @@ class TransitionCache:
     def store_edge(self, agent: int, key, ok: bool) -> None:
         if self.enabled:
             self._edges.setdefault(agent, {})[key] = ok
+
+    def lookup_successors(self, agent: int, q: Config):
+        if not self.enabled:
+            return None
+        return self._successors.get(agent, {}).get(q)
+
+    def store_successors(self, agent: int, q: Config, out: tuple) -> None:
+        if self.enabled:
+            self._successors.setdefault(agent, {})[q] = out
 
 
 class LatticeDomain:
@@ -149,15 +166,44 @@ class LatticeDomain:
         self._pair_memo[key] = out
         return out
 
-    def successor_configs(self, agent: int, q: Config) -> list[Config]:
+    def successor_configs(self, agent: int, q: Config) -> tuple[Config, ...]:
         """Statically valid motion primitives from q, plus the wait move,
-        sorted lexicographically for determinism."""
-        out = [q]
-        for q2 in self._moves(agent, q):
-            if self.is_state_valid(agent, q2) and self.is_edge_valid(agent, q, q2):
-                out.append(q2)
-        out.sort()
+        sorted lexicographically for determinism. Served from the successor
+        table after the first call while the cache is enabled."""
+        key_agent = self._cache_agent(agent)
+        out = self.cache.lookup_successors(key_agent, q)
+        if out is None:
+            out = tuple(sorted([q] + [q2 for q2 in self._moves(agent, q)
+                                      if self.is_state_valid(agent, q2)
+                                      and self.is_edge_valid(agent, q, q2)]))
+            self.cache.store_successors(key_agent, q, out)
         return out
+
+    def step_conflicts(self, agent: int, others):
+        """Conflict counter of ``agent`` against the fixed paths ``others``
+        (``(agent id, Path)`` pairs), built once per replan.
+
+        The returned ``count(q, t, q2, first=False)`` is the number of other
+        agents that the move q -> q2 departing at t collides with under
+        ``core.step_collides``, or with ``first`` 1 as soon as one does.
+        Other agents stay parked at their last waypoint, so the step list at
+        the last path end serves every later time. This version runs the
+        pair tests in the order of ``others``; a domain may answer from an
+        index instead, with the same counts.
+        """
+        last = max((p.duration for _, p in others), default=0)
+        steps = [[(jid, pj.at(t), pj.at(t + 1)) for jid, pj in others]
+                 for t in range(last + 1)]
+
+        def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
+            n = 0
+            for jid, a, b in steps[min(t, last)]:
+                if step_collides(self, agent, q, q2, jid, a, b):
+                    if first:
+                        return 1
+                    n += 1
+            return n
+        return count
 
 
 def get_successors(domain: LatticeDomain, agent: int, state: tuple[Config, int],

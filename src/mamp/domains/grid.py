@@ -37,7 +37,7 @@ class GridDomain(LatticeDomain):
 
     def _check_state(self, agent: int, q: Config) -> bool:
         self.stats.geometry_checks += 1
-        return self.in_bounds(q) and q not in self.blocked
+        return len(q) == 2 and self.in_bounds(q) and q not in self.blocked
 
     def _check_edge(self, agent: int, q: Config, q2: Config) -> bool:
         if not self.is_lattice_edge(agent, q, q2):
@@ -52,6 +52,31 @@ class GridDomain(LatticeDomain):
         if qi0 == qj0 and qi1 == qj1:  # same cell / same sweep
             return True
         return qi0 == qj1 and qi1 == qj0 and qi0 != qi1  # swap
+
+    def step_conflicts(self, agent: int, others):
+        """The conflict counter as a conflict avoidance table (Standley,
+        AAAI 2010): a move collides with agent j iff it arrives where j
+        arrives, or swaps cells with j. So the count is read off two
+        tables, arrivals per (cell, t) and moves per (from, to, t), whose
+        rows at the last path end stand for every later time; no pair test
+        runs."""
+        last = max((p.duration for _, p in others), default=0)
+        arrivals: dict = {}
+        moves: dict = {}
+        for _, pj in others:
+            for t in range(last + 1):
+                a, b = pj.at(t), pj.at(t + 1)
+                arrivals[b, t] = arrivals.get((b, t), 0) + 1
+                if a != b:
+                    moves[a, b, t] = moves.get((a, b, t), 0) + 1
+
+        def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
+            t = min(t, last)
+            n = arrivals.get((q2, t), 0)
+            if q != q2:
+                n += moves.get((q2, q, t), 0)
+            return min(n, 1) if first else n
+        return count
 
     def heuristic(self, agent: int, q: Config, goal: Config) -> float:
         return abs(q[0] - goal[0]) + abs(q[1] - goal[1])

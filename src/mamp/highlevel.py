@@ -190,7 +190,7 @@ def _ll_params(config: PlannerConfig) -> LLParams:
 
 
 def _experience_for(node: CTNode, agent: int, config: PlannerConfig,
-                    registry: list[list]) -> tuple:
+                    registry: list[list] | None) -> tuple:
     if not config.use_experience:
         return ()
     if config.experience_source == "parent-path":
@@ -213,10 +213,13 @@ def _experience_for(node: CTNode, agent: int, config: PlannerConfig,
 
 def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
                    config: PlannerConfig, llp: LLParams, deadline: float | None,
-                   indexer, registry: list[list]) -> tuple[list[CTNode], int, bool]:
+                   indexer, registry: list[list] | None = None
+                   ) -> tuple[list[CTNode], int, bool]:
     """Branch on the first conflict: one child per derived constraint, with
     only the affected agent replanned. Children whose replan fails are
-    discarded. Returns (children, low-level expansions, timed_out)."""
+    discarded. ``registry`` holds every CT path per agent, for the
+    all-ct-paths experience source only (None otherwise). Returns
+    (children, low-level expansions, timed_out)."""
     n = len(node.paths)
     children: list[CTNode] = []
     ll_total = 0
@@ -248,7 +251,8 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         child = CTNode(next(indexer), new_constraints, new_paths,
                        node.cost - path_cost(node.paths[agent]) + res.cost,
                        tuple(kept), new_lbs, parent=node)
-        registry[agent].append(strip_time(res.path))
+        if registry is not None:
+            registry[agent].append(strip_time(res.path))
         children.append(child)
     return children, ll_total, False
 
@@ -287,7 +291,8 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
                   tuple(detect_conflicts(paths, domain)), tuple(lbs))
     queue = CTQueue(config.wH, config.f1H, config.f2H)
     queue.insert(root)
-    registry: list[list] = [[strip_time(p)] for p in paths]
+    registry = [[strip_time(p)] for p in paths] if config.use_experience \
+        and config.experience_source == "all-ct-paths" else None
     indexer = itertools.count(1)
     ct_expansions = 0
 
@@ -458,7 +463,16 @@ def run_planner(domain: LatticeDomain, starts, goals,
 
 def validate_solution(domain: LatticeDomain, solution: Solution,
                       constraints: Sequence[Constraint] = ()) -> bool:
-    """Conflict-freeness plus per-path constraint satisfaction."""
+    """Static validity of every waypoint and every non-wait step (a grid
+    step must be a lattice move; an arm step is interpolated), then
+    conflict-freeness and per-path constraint satisfaction."""
+    for i, path in enumerate(solution.paths):
+        wps = path.waypoints
+        if not all(domain.is_state_valid(i, q) for q in wps):
+            return False
+        if not all(q == q2 or domain.is_edge_valid(i, q, q2)
+                   for q, q2 in zip(wps, wps[1:])):
+            return False
     if detect_conflicts(solution.paths, domain):
         return False
     return not any(violates(solution.paths[c.agent], c) for c in constraints)

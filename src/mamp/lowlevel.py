@@ -18,13 +18,14 @@ against a read-only domain.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import Config, ConstraintIndex, Constraint, Path, step_collides
+from .core import Config, ConstraintIndex, Constraint, Path
 from .domains.base import LatticeDomain, get_successors
 
 State = tuple[Config, int]
@@ -286,17 +287,8 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
 
     others = list(other_paths) if other_paths else []
     checks_before = domain.stats.geometry_checks
-
-    def hits(q: Config, t: int, q2: Config, first: bool = False) -> int:
-        # other agents that the move q -> q2 departing at t collides with;
-        # with ``first``, 1 as soon as one does
-        n = 0
-        for jid, pj in others:
-            if step_collides(domain, agent, q, q2, jid, pj.at(t), pj.at(t + 1)):
-                if first:
-                    return 1
-                n += 1
-        return n
+    # other agents that the move q -> q2 departing at t collides with
+    hits = domain.step_conflicts(agent, others)
 
     cc_fn = None
     if params.f2 == "conflicts" and others:
@@ -305,9 +297,7 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
         # a time. parked_after[t] = conflicts over [t, end) against the
         # others' sweeps and arrivals while this agent sits on its goal.
         last = max(p.duration for _, p in others)
-        tail = sum(1 for jid, pj in others
-                   if domain.pairwise_collision(agent, goal, goal, jid, pj.end, pj.end))
-        parked_after = [tail] * (last + 2)
+        parked_after = [hits(goal, last + 1, goal)] * (last + 2)
         for t in range(last, -1, -1):
             parked_after[t] = parked_after[t + 1] + hits(goal, t, goal)
 
@@ -348,8 +338,8 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
                     return False
         return True
 
-    queue = FocalQueue(params.w1, params.w2, params.f2,
-                       h_fn=lambda s: domain.heuristic(agent, s[0], goal),
+    h = functools.cache(lambda q: domain.heuristic(agent, q, goal))  # per solve
+    queue = FocalQueue(params.w1, params.w2, params.f2, h_fn=lambda s: h(s[0]),
                        cc_fn=cc_fn)
     expansions = 0
     trace: list[State] | None = [] if record_trace else None

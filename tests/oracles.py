@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from mamp.core import ConstraintIndex
+from mamp.core import ConstraintIndex, step_collides
 
 
 def grid_bfs_cost(domain, start, goal):
@@ -29,6 +29,19 @@ def grid_bfs_cost(domain, start, goal):
             seen.add(nq)
             frontier.append((nq, d + 1))
     return None
+
+
+def step_conflicts(domain, agent, others, q, t, q2, first=False):
+    """Number of the ``others`` (id, path) that the move q -> q2 departing
+    at t collides with, by one ``step_collides`` test per other agent; with
+    ``first``, 1 as soon as one does."""
+    n = 0
+    for jid, pj in others:
+        if step_collides(domain, agent, q, q2, jid, pj.at(t), pj.at(t + 1)):
+            if first:
+                return 1
+            n += 1
+    return n
 
 
 def _move_allowed(domain, agent, cidx, q, t, q2, others, hard):

@@ -157,10 +157,18 @@ class TestRunExperiments:
         GOOD_DUMP.replace("w1l 1.0 w2l 1.0 wh 1.0", "w1l 1.0"),
         GOOD_DUMP.replace("cost_steps 2", "cost_steps x"),
         GOOD_DUMP.replace("\n0 0 0\n", "\n0 a b\n"),
-    ], ids=["stray-endpath", "short-w1l", "bad-cost", "bad-waypoint"])
+        GOOD_DUMP.replace("lb -", "lb nan"),
+        GOOD_DUMP.replace("lb -", "lb inf"),
+        GOOD_DUMP.replace("w1l 1.0", "w1l nan"),
+    ], ids=["stray-endpath", "short-w1l", "bad-cost", "bad-waypoint",
+            "lb-nan", "lb-inf", "weight-nan"])
     def test_revalidator_is_total(self, dump):
         ok, detail = revalidate_dump(WALL_DOC, dump)
         assert not ok and "malformed" in detail
+
+    def test_revalidator_bound_is_live(self):
+        ok, detail = revalidate_dump(WALL_DOC, GOOD_DUMP.replace("lb -", "lb 1"))
+        assert not ok and "bound" in detail
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="trials"):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Segment,
+from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path, Segment,
                   forward_kinematics, get_successors)
 from mamp.core import ConstraintIndex
+from mamp.domains.base import LatticeDomain
 
 from corpus import one_joint_arm, two_link_arm_pair
-from oracles import dense_edge_valid
+from oracles import dense_edge_valid, step_conflicts
 
 RES = math.pi / 16
 
@@ -45,6 +46,63 @@ class TestGridSuccessors:
     def test_horizon_cuts_generation(self):
         g = GridDomain(3, 3)
         assert get_successors(g, 0, ((1, 1), 4), N(), horizon=4) == []
+
+    def test_wrong_arity_is_invalid(self):
+        g = GridDomain(3, 3)
+        assert not g.is_state_valid(0, (0, 0, 5))
+        assert not g.is_state_valid(0, (0,))
+        assert g.stats.geometry_checks == 2
+        assert g.is_state_valid(0, (0, 0)) and g.is_state_valid(0, (0, 0))
+        assert g.stats.geometry_checks == 3  # the repeat is a cache hit
+        assert g.stats.cache_hits == 1
+
+
+def _walks(size=3):
+    """Grid paths of 1-8 waypoints made of waits and unit moves."""
+    steps = st.sampled_from(((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
+    cell = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+
+    def walk(args):
+        (x, y), moves = args
+        wps = [(x, y)]
+        for dx, dy in moves:
+            x2, y2 = x + dx, y + dy
+            if 0 <= x2 < size and 0 <= y2 < size:
+                x, y = x2, y2
+            wps.append((x, y))
+        return Path(tuple(wps))
+    return st.tuples(cell, st.lists(steps, max_size=7)).map(walk)
+
+
+class TestStepConflicts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_walks(), min_size=1, max_size=4))
+    def test_grid_table_matches_pair_tests(self, paths):
+        # every move of a 3x3 grid at every departure time before, at and
+        # after the last path end, against 1-4 others of unequal lengths
+        # that wait, swap and stack on one cell
+        others = [(j + 1, p) for j, p in enumerate(paths)]
+        last = max(p.duration for p in paths)
+        grid = GridDomain(3, 3)
+        counters = [grid.step_conflicts(0, others),
+                    LatticeDomain.step_conflicts(grid, 0, others)]
+        ref = GridDomain(3, 3)
+        for q in [(x, y) for x in range(3) for y in range(3)]:
+            for q2 in ref.successor_configs(0, q):
+                for t in range(last + 3):
+                    for first in (False, True):
+                        want = step_conflicts(ref, 0, others, q, t, q2, first)
+                        assert [c(q, t, q2, first) for c in counters] == [want] * 2, \
+                            (q, t, q2, first)
+
+    def test_grid_table_runs_no_pair_test(self):
+        g = GridDomain(3, 1)
+        count = g.step_conflicts(0, [(1, Path(((2, 0), (1, 0), (0, 0))))])
+        assert count((0, 0), 0, (1, 0)) == 1   # both arrive at (1, 0)
+        assert count((0, 0), 1, (1, 0)) == 1   # swap (0,0) <-> (1,0)
+        assert count((1, 0), 1, (1, 0)) == 0   # waits as the other leaves
+        assert count((1, 0), 5, (0, 0)) == 1   # onto the parked end
+        assert g.stats.pair_queries == 0 and g.stats.geometry_checks == 0
 
 
 class TestArmKinematics:
@@ -139,6 +197,34 @@ class TestArmValidity:
         before = d.stats.geometry_checks
         d.is_edge_valid(0, (0,), (1,))
         assert d.stats.geometry_checks > before
+
+
+class TestSuccessorTable:
+    @pytest.mark.parametrize("build,q", [
+        (lambda cache: GridDomain(3, 3, blocked=[(1, 0)], cache=cache), (1, 1)),
+        (lambda cache: one_joint_arm(cache=cache), (0,)),
+    ], ids=["grid", "arm"])
+    def test_repeat_makes_no_queries(self, build, q):
+        d = build(True)
+        first = d.successor_configs(0, q)
+        queries = (d.stats.state_queries, d.stats.edge_queries, d.stats.cache_hits)
+        again = d.successor_configs(0, q)
+        assert again == first == build(False).successor_configs(0, q)
+        assert isinstance(again, tuple)
+        assert (d.stats.state_queries, d.stats.edge_queries,
+                d.stats.cache_hits) == queries
+
+    @pytest.mark.parametrize("build,q", [
+        (lambda: GridDomain(3, 3, blocked=[(1, 0)], cache=False), (1, 1)),
+        (lambda: one_joint_arm(cache=False), (0,)),
+    ], ids=["grid", "arm"])
+    def test_cache_off_requeries(self, build, q):
+        d = build()
+        first = d.successor_configs(0, q)
+        once = (d.stats.state_queries, d.stats.edge_queries, d.stats.geometry_checks)
+        assert d.successor_configs(0, q) == first
+        assert (d.stats.state_queries, d.stats.edge_queries,
+                d.stats.geometry_checks) == tuple(2 * v for v in once)
 
 
 class TestArmSuccessors:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamp import (Conflict, Constraint, GridDomain, Path, PlannerConfig,
-                  detect_conflicts, plan, plan_coupled_oracle,
+                  Solution, detect_conflicts, plan, plan_coupled_oracle,
                   plan_prioritized, solve, validate_solution, violates)
 from mamp.core import VERTEX
 from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
@@ -62,6 +62,21 @@ class TestPlanExamples:
         assert r.constraints  # the swap cannot be solved without branching
         for c in r.constraints:
             assert not violates(r.solution.paths[c.agent], c)
+
+
+class TestValidateSolution:
+    def test_accepts_waits_and_lattice_moves(self):
+        sol = Solution((Path(((0, 0), (1, 0), (1, 0))), Path(((2, 0), (2, 0)))))
+        assert validate_solution(GridDomain(3, 1), sol)
+
+    def test_rejects_teleport(self):
+        assert not validate_solution(GridDomain(3, 1),
+                                     Solution((Path(((0, 0), (2, 0))),)))
+
+    def test_rejects_step_through_wall(self):
+        domain = GridDomain(3, 3, blocked=[(1, 1)])
+        sol = Solution((Path(((1, 0), (1, 1), (1, 2))),))
+        assert not validate_solution(domain, sol)
 
 
 class TestExpandCTNode:

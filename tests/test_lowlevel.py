@@ -378,3 +378,32 @@ class TestGuarantees:
         finally:
             FocalQueue.pop = orig_pop
         assert not violations
+
+
+class TestConflictTableParity:
+    def test_grid_table_plans_like_pair_tests(self):
+        # the grid's conflict table must steer every search exactly as the
+        # base class's pair tests do: same paths, costs and expansions
+        from mamp import PlannerConfig, generate_scene, parse_scene, run_planner
+        from mamp.domains.base import LatticeDomain
+        cases = [(inst.domain, inst.starts, inst.goals)
+                 for inst in grid_corpus(seed=61, count=10)]
+        for seed in (3, 4):
+            scene = parse_scene(generate_scene("corridor-grid", n=6, width=7,
+                                               height=7, seed=seed))
+            cases.append((scene.build_domain, scene.starts, scene.goals))
+        configs = [PlannerConfig.make(v, w1L=2.0, w2L=1.3, wH=1.3, timeout=60.0)
+                   for v in ("ecbs", "xecbs")] + [PlannerConfig.make("pp")]
+        for build, s, g in cases:
+            for config in configs:
+                table = run_planner(build(), s, g, config)
+                pairs_domain = build()
+                pairs_domain.step_conflicts = LatticeDomain.step_conflicts.__get__(
+                    pairs_domain)
+                pairs = run_planner(pairs_domain, s, g, config)
+                assert table.status == pairs.status
+                assert (table.cost, table.ll_expansions, table.ct_expansions) == \
+                    (pairs.cost, pairs.ll_expansions, pairs.ct_expansions)
+                if table.success:
+                    assert table.solution == pairs.solution
+                assert table.collision_checks <= pairs.collision_checks
