@@ -10,6 +10,7 @@ contributes only the post-shortcut cost column.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import math
 import os
@@ -279,6 +280,10 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
     """Deterministic scene document for the given generator kind and seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if links < 1:
+        raise ValueError("links must be >= 1")
+    if not resolution > 0:
+        raise ValueError("resolution must be positive")
     rng = random.Random(seed)
     if kind == "circle-arms":
         scene = _circle_arms(rng, n, obstacle, links, link_length, resolution,
@@ -294,8 +299,12 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
     return serialize_scene(scene)
 
 
+_GENERATOR_KEYS = frozenset(inspect.signature(generate_scene).parameters) - {"kind"}
+
+
 def parse_generate_spec(spec: str) -> tuple[str, dict]:
-    """Parse 'kind:key=value,key=value' CLI shorthand."""
+    """Parse 'kind:key=value,key=value' CLI shorthand; every key must be a
+    keyword of `generate_scene`."""
     kind, _, rest = spec.partition(":")
     params: dict = {}
     if rest:
@@ -305,6 +314,8 @@ def parse_generate_spec(spec: str) -> tuple[str, dict]:
                 raise ValueError(f"bad generator parameter {item!r}")
             key = key.strip()
             value = value.strip()
+            if key not in _GENERATOR_KEYS:
+                raise ValueError(f"unknown generator parameter {key!r}")
             if key == "obstacle":
                 params[key] = value if value == "auto" else value in ("1", "true", "yes")
             elif key in ("link_length", "resolution", "thickness", "radius",
@@ -387,8 +398,8 @@ def revalidate_dump(scene_text: str, dump_text: str,
             if len(q) != len(start) or not domain.is_state_valid(i, q):
                 return False, f"agent {i}: invalid state {q} at t={t}"
         for t, (q, q2) in enumerate(zip(wps, wps[1:])):
-            if q != q2 and not (domain.is_lattice_edge(i, q, q2)
-                                and domain.is_edge_valid(i, q, q2)):
+            if not (domain.is_lattice_edge(i, q, q2)
+                    and domain.step_valid(i, q, q2)):
                 return False, f"agent {i}: invalid move {q} -> {q2} at t={t}"
     if detect_conflicts(paths, domain):
         return False, "dumped solution has conflicts"

@@ -1,4 +1,4 @@
-from .base import DomainStats, LatticeDomain, TransitionCache, get_successors
+from .base import DomainStats, LatticeDomain, get_successors
 from .grid import GridDomain
 from .arm import ArmDomain, ArmSpec, Disc, Segment, forward_kinematics
 
@@ -10,7 +10,6 @@ __all__ = [
     "GridDomain",
     "LatticeDomain",
     "Segment",
-    "TransitionCache",
     "forward_kinematics",
     "get_successors",
 ]

@@ -1,13 +1,19 @@
 """Shared domain plumbing: validity caching, geometry counters,
 constraint-aware successor expansion and per-replan conflict counting.
 
+Each per-step question has one answer here. `step_valid` is the static
+legality of one timestep (a wait, or a move to a valid configuration along
+a valid edge); `step_conflicts` counts the fixed other agents that a step
+hits. The low level, the shortcutter and the solution checkers all ask
+these two methods.
+
 A domain is immutable after construction except for its counters and its
 internal memo tables, which only ever record verdicts that a fresh
-computation would reproduce (static environment). The transition cache
-holds the static state and edge verdicts and, built from them, the
+computation would reproduce (static environment). With the cache on, the
+domain keeps the static state and edge verdicts and, built from them, the
 successor table: the valid successor configurations of each (agent, config)
 are computed once per domain and then served without re-querying a single
-verdict. The cache supports concurrent readers with single-writer
+verdict. The tables support concurrent readers with single-writer
 insertion; re-inserting an existing key with the same verdict is a no-op.
 """
 
@@ -37,45 +43,6 @@ class DomainStats:
     cache_hits: int = 0
 
 
-class TransitionCache:
-    """Per-agent memo of static validity verdicts for configurations and
-    edges, and of the valid successors of each configuration, reused across
-    low-level searches within a planning query."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._states: dict[int, dict] = {}
-        self._edges: dict[int, dict] = {}
-        self._successors: dict[int, dict] = {}
-
-    def lookup_state(self, agent: int, q: Config):
-        if not self.enabled:
-            return None
-        return self._states.get(agent, {}).get(q)
-
-    def store_state(self, agent: int, q: Config, ok: bool) -> None:
-        if self.enabled:
-            self._states.setdefault(agent, {})[q] = ok
-
-    def lookup_edge(self, agent: int, key):
-        if not self.enabled:
-            return None
-        return self._edges.get(agent, {}).get(key)
-
-    def store_edge(self, agent: int, key, ok: bool) -> None:
-        if self.enabled:
-            self._edges.setdefault(agent, {})[key] = ok
-
-    def lookup_successors(self, agent: int, q: Config):
-        if not self.enabled:
-            return None
-        return self._successors.get(agent, {}).get(q)
-
-    def store_successors(self, agent: int, q: Config, out: tuple) -> None:
-        if self.enabled:
-            self._successors.setdefault(agent, {})[q] = out
-
-
 class LatticeDomain:
     """Base class for concrete state spaces.
 
@@ -86,7 +53,11 @@ class LatticeDomain:
 
     def __init__(self, cache: bool = True):
         self.stats = DomainStats()
-        self.cache = TransitionCache(cache)
+        self.cache = cache
+        # static verdicts keyed by (cache agent, ...), filled only with cache on
+        self._states: dict[tuple, bool] = {}
+        self._edges: dict[tuple, bool] = {}
+        self._successors: dict[tuple, tuple] = {}
         self._pair_memo: dict[tuple, bool] = {}
 
     # -- hooks ------------------------------------------------------------
@@ -127,28 +98,38 @@ class LatticeDomain:
 
     def is_state_valid(self, agent: int, q: Config) -> bool:
         self.stats.state_queries += 1
-        key_agent = self._cache_agent(agent)
-        cached = self.cache.lookup_state(key_agent, q)
-        if cached is not None:
+        key = (self._cache_agent(agent), q)
+        ok = self._states.get(key)
+        if ok is not None:
             self.stats.cache_hits += 1
-            return cached
+            return ok
         ok = self._check_state(agent, q)
-        self.cache.store_state(key_agent, q, ok)
+        if self.cache:
+            self._states[key] = ok
         return ok
 
     def is_edge_valid(self, agent: int, q: Config, q2: Config) -> bool:
         """Static validity of the motion q -> q2, interpolated at the domain's
         declared sub-step density. Symmetric in its endpoints."""
         self.stats.edge_queries += 1
-        key_agent = self._cache_agent(agent)
-        key = (q, q2) if q <= q2 else (q2, q)
-        cached = self.cache.lookup_edge(key_agent, key)
-        if cached is not None:
+        lo, hi = (q, q2) if q <= q2 else (q2, q)
+        key = (self._cache_agent(agent), lo, hi)
+        ok = self._edges.get(key)
+        if ok is not None:
             self.stats.cache_hits += 1
-            return cached
-        ok = self._check_edge(agent, key[0], key[1])
-        self.cache.store_edge(key_agent, key, ok)
+            return ok
+        ok = self._check_edge(agent, lo, hi)
+        if self.cache:
+            self._edges[key] = ok
         return ok
+
+    def step_valid(self, agent: int, q: Config, q2: Config) -> bool:
+        """Static validity of one timestep from the valid configuration q:
+        a wait, or a move to a valid q2 along a valid edge. Whether q -> q2
+        is a single lattice move is a separate question (`is_lattice_edge`):
+        shortcut output may rotate several arm joints in one step."""
+        return q == q2 or (self.is_state_valid(agent, q2)
+                           and self.is_edge_valid(agent, q, q2))
 
     def pairwise_collision(self, i: int, qi0: Config, qi1: Config,
                            j: int, qj0: Config, qj1: Config) -> bool:
@@ -170,13 +151,13 @@ class LatticeDomain:
         """Statically valid motion primitives from q, plus the wait move,
         sorted lexicographically for determinism. Served from the successor
         table after the first call while the cache is enabled."""
-        key_agent = self._cache_agent(agent)
-        out = self.cache.lookup_successors(key_agent, q)
+        key = (self._cache_agent(agent), q)
+        out = self._successors.get(key)
         if out is None:
             out = tuple(sorted([q] + [q2 for q2 in self._moves(agent, q)
-                                      if self.is_state_valid(agent, q2)
-                                      and self.is_edge_valid(agent, q, q2)]))
-            self.cache.store_successors(key_agent, q, out)
+                                      if self.step_valid(agent, q, q2)]))
+            if self.cache:
+                self._successors[key] = out
         return out
 
     def step_conflicts(self, agent: int, others):

@@ -5,7 +5,8 @@ One parameterized best-first/focal search covers the whole family:
 * cbs    -- f1H = cost, no focal, unit weights everywhere; optimal.
 * bcbs   -- focal over cost at both levels; w1L*w2L*wH sub-optimal.
 * ecbs   -- f1H = per-node lower bound LB, focal membership cost <= wH*min LB.
-* xcbs   -- cbs + warm-starting each replan with the parent node's path.
+* xcbs   -- cbs + experience: each replan is warm-started with the path
+            it replaces, the replanned agent's path in the parent node.
 * xecbs  -- ecbs + experience, path-aware experience termination by default.
 
 Both levels run the same focal search: CT nodes go through
@@ -26,7 +27,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (Conflict, Constraint, ConstraintIndex, Path, Solution,
                    conflict_to_constraints, conflicts_with_agent,
@@ -49,14 +50,14 @@ class PlannerConfig:
     w1L: float = 1.0
     w2L: float = 1.0
     wH: float = 1.0
-    use_experience: bool = False
-    experience_source: str = "parent-path"  # parent-path | branch-paths | all-ct-paths
     timeout: float = 60.0
-    seed: int = 0
     termination: str | None = None          # None: path-aware for xecbs only
     cache: bool = True
     horizon: int | None = None
     tmax: int = 128
+
+    # each replan is warm-started with the path it replaces
+    experience_source = "parent-path"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -72,24 +73,16 @@ class PlannerConfig:
         for name in fixed_unit:
             if getattr(self, name) != 1.0:
                 raise ValueError(f"{self.variant} requires {name} = 1")
-        wants_exp = self.variant in ("xcbs", "xecbs")
-        if self.use_experience != wants_exp:
-            raise ValueError(f"{self.variant} requires use_experience={wants_exp}")
 
     @staticmethod
     def make(variant: str, **kw) -> "PlannerConfig":
-        v = variant.lower().replace("_", "-")
-        if v in ("coupledoracle", "coupled-oracle", "oracle"):
-            v = "coupled"
-        kw.setdefault("use_experience", v in ("xcbs", "xecbs"))
-        if v in ("cbs", "coupled"):
-            kw.setdefault("w1L", 1.0)
-        if v in ("cbs", "coupled", "xcbs", "pp"):
-            kw.setdefault("w2L", 1.0)
-            kw.setdefault("wH", 1.0)
-        return PlannerConfig(v, **kw)
+        return PlannerConfig(variant.lower(), **kw)
 
     # derived search-shape switches
+    @property
+    def use_experience(self) -> bool:
+        return self.variant in ("xcbs", "xecbs")
+
     @property
     def f1H(self) -> str:
         return "lb" if self.variant in ("ecbs", "xecbs") else "cost"
@@ -121,7 +114,6 @@ class CTNode:
     cost: int
     conflicts: tuple[Conflict, ...]
     lbs: tuple[float, ...]
-    parent: Optional["CTNode"] = field(default=None, repr=False)
     in_open: bool = field(default=False, repr=False)
     ver = 0  # queue entry version; CT nodes are never re-keyed
 
@@ -189,37 +181,13 @@ def _ll_params(config: PlannerConfig) -> LLParams:
                     termination=config.effective_termination)
 
 
-def _experience_for(node: CTNode, agent: int, config: PlannerConfig,
-                    registry: list[list] | None) -> tuple:
-    if not config.use_experience:
-        return ()
-    if config.experience_source == "parent-path":
-        return strip_time(node.paths[agent])
-    seqs: list = []
-    if config.experience_source == "branch-paths":
-        cur: CTNode | None = node
-        while cur is not None:
-            seqs.append(strip_time(cur.paths[agent]))
-            cur = cur.parent
-    else:  # all-ct-paths
-        seqs = list(reversed(registry[agent]))
-    unique, seen = [], set()
-    for s in seqs:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return tuple(unique)
-
-
 def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
                    config: PlannerConfig, llp: LLParams, deadline: float | None,
-                   indexer, registry: list[list] | None = None
-                   ) -> tuple[list[CTNode], int, bool]:
+                   indexer) -> tuple[list[CTNode], int, bool]:
     """Branch on the first conflict: one child per derived constraint, with
-    only the affected agent replanned. Children whose replan fails are
-    discarded. ``registry`` holds every CT path per agent, for the
-    all-ct-paths experience source only (None otherwise). Returns
-    (children, low-level expansions, timed_out)."""
+    only the affected agent replanned, warm-started (with experience on)
+    from the path it replaces. Children whose replan fails are discarded.
+    Returns (children, low-level expansions, timed_out)."""
     n = len(node.paths)
     children: list[CTNode] = []
     ll_total = 0
@@ -234,9 +202,10 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
             config.effective_termination == "path-aware"
         others = [(j, node.paths[j]) for j in range(n) if j != agent] \
             if needs_others else None
+        experience = strip_time(node.paths[agent]) if config.use_experience else ()
         res = lowlevel.solve(domain, agent, starts[agent], goals[agent], cidx,
-                             _experience_for(node, agent, config, registry),
-                             child_llp, other_paths=others, deadline=deadline)
+                             experience, child_llp, other_paths=others,
+                             deadline=deadline)
         ll_total += res.expansions
         if res.status == "timeout":
             return children, ll_total, True
@@ -250,9 +219,7 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         kept.sort(key=Conflict.sort_key)
         child = CTNode(next(indexer), new_constraints, new_paths,
                        node.cost - path_cost(node.paths[agent]) + res.cost,
-                       tuple(kept), new_lbs, parent=node)
-        if registry is not None:
-            registry[agent].append(strip_time(res.path))
+                       tuple(kept), new_lbs)
         children.append(child)
     return children, ll_total, False
 
@@ -291,8 +258,6 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
                   tuple(detect_conflicts(paths, domain)), tuple(lbs))
     queue = CTQueue(config.wH, config.f1H, config.f2H)
     queue.insert(root)
-    registry = [[strip_time(p)] for p in paths] if config.use_experience \
-        and config.experience_source == "all-ct-paths" else None
     indexer = itertools.count(1)
     ct_expansions = 0
 
@@ -308,7 +273,7 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
                           constraints=node.constraints)
         ct_expansions += 1
         children, ll_exp, timed_out = expand_ct_node(
-            domain, node, starts, goals, config, llp, deadline, indexer, registry)
+            domain, node, starts, goals, config, llp, deadline, indexer)
         ll_total += ll_exp
         if timed_out:
             return finish("timeout", ct_expansions=ct_expansions)
@@ -463,15 +428,14 @@ def run_planner(domain: LatticeDomain, starts, goals,
 
 def validate_solution(domain: LatticeDomain, solution: Solution,
                       constraints: Sequence[Constraint] = ()) -> bool:
-    """Static validity of every waypoint and every non-wait step (a grid
-    step must be a lattice move; an arm step is interpolated), then
+    """Static validity of the first waypoint and of every step (a grid step
+    must be a lattice move; an arm step is interpolated), then
     conflict-freeness and per-path constraint satisfaction."""
     for i, path in enumerate(solution.paths):
         wps = path.waypoints
-        if not all(domain.is_state_valid(i, q) for q in wps):
+        if wps and not domain.is_state_valid(i, wps[0]):
             return False
-        if not all(q == q2 or domain.is_edge_valid(i, q, q2)
-                   for q, q2 in zip(wps, wps[1:])):
+        if not all(domain.step_valid(i, q, q2) for q, q2 in zip(wps, wps[1:])):
             return False
     if detect_conflicts(solution.paths, domain):
         return False

@@ -247,30 +247,21 @@ def push_partial_experience(queue: FocalQueue, experience: Sequence[Config],
         q0, t0 = q, t0 + 1
 
 
-def _normalize_experience(experience) -> tuple[tuple[Config, ...], ...]:
-    if not experience:
-        return ()
-    first = experience[0]
-    if first and isinstance(first[0], int):  # a single configuration sequence
-        seqs = [tuple(tuple(c) for c in experience)]
-    else:
-        seqs = [tuple(tuple(c) for c in seq) for seq in experience]
-    return tuple(s for s in seqs if s)
-
-
 def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
           constraints: Sequence[Constraint] | ConstraintIndex = (),
-          experience=(), params: LLParams = LLParams(),
+          experience: Sequence[Config] = (), params: LLParams = LLParams(),
           other_paths: Sequence[tuple[int, Path]] | None = None,
           hard_paths: bool = False,
           deadline: float | None = None,
           record_trace: bool = False) -> LowLevelResult:
     """Plan a constraint-respecting path from start to goal.
 
-    ``other_paths`` are the remaining agents' committed paths; they feed the
-    conflict-count focal priority, the path-aware experience termination and
-    (with ``hard_paths``, used by prioritized planning) a hard collision
-    filter on successors and on goal acceptance. Failure to reach the goal
+    ``experience`` is one time-stripped configuration sequence (in the
+    constraint tree, the path being replaced). ``other_paths`` are the
+    remaining agents' committed paths; they feed the conflict-count focal
+    priority, the path-aware experience termination and (with
+    ``hard_paths``, used by prioritized planning) a hard collision filter on
+    successors and on goal acceptance. Failure to reach the goal
     within the horizon is reported in the result status, not raised.
     """
     start, goal = tuple(start), tuple(goal)
@@ -312,14 +303,10 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     def move_ok(q: Config, t: int, q2: Config) -> bool:
         if t + 1 > horizon or not cidx.allows_move(q, t, q2):
             return False
-        if not domain.is_state_valid(agent, q2):
+        if not (domain.is_lattice_edge(agent, q, q2)
+                and domain.step_valid(agent, q, q2)):
             return False
-        if q2 != q and not (domain.is_lattice_edge(agent, q, q2)
-                            and domain.is_edge_valid(agent, q, q2)):
-            return False
-        if hard_paths and hits(q, t, q2, first=True):
-            return False
-        return True
+        return not (hard_paths and hits(q, t, q2, first=True))
 
     if params.termination == "path-aware" and others:
         def exp_move_ok(q, t, q2):
@@ -328,15 +315,11 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
         exp_move_ok = move_ok
 
     def parked_clear(t: int) -> bool:
+        # Parking at the goal from t on must hit nobody. The position at t
+        # itself was checked by the hard filter when (goal, t) was generated.
         last = max((p.duration for _, p in others), default=0)
-        for t2 in range(t, max(t, last) + 1):
-            for jid, pj in others:
-                a, b = pj.at(t2), pj.at(t2 + 1)
-                if domain.pairwise_collision(agent, goal, goal, jid, a, a):
-                    return False
-                if b != a and domain.pairwise_collision(agent, goal, goal, jid, a, b):
-                    return False
-        return True
+        return not any(hits(goal, s, goal, first=True)
+                       for s in range(t, max(t, last) + 1))
 
     h = functools.cache(lambda q: domain.heuristic(agent, q, goal))  # per solve
     queue = FocalQueue(params.w1, params.w2, params.f2, h_fn=lambda s: h(s[0]),
@@ -352,10 +335,9 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
         return fail("start-constrained")
 
     root = queue.push_root((start, 0))
-    experiences = _normalize_experience(experience)
-    members = [frozenset(seq) for seq in experiences]
-    for seq in experiences:
-        push_partial_experience(queue, seq, root, exp_move_ok)
+    experience = tuple(tuple(c) for c in experience)
+    members = frozenset(experience)
+    push_partial_experience(queue, experience, root, exp_move_ok)
 
     while True:
         if deadline is not None and expansions % 64 == 0 and time.monotonic() > deadline:
@@ -379,9 +361,8 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
             return LowLevelResult(Path(tuple(waypoints)), node.g, lb, expansions,
                                   domain.stats.geometry_checks - checks_before,
                                   "success", trace)
-        for seq, configs in zip(experiences, members):
-            if q in configs:
-                push_partial_experience(queue, seq, node, exp_move_ok)
+        if q in members:
+            push_partial_experience(queue, experience, node, exp_move_ok)
         for s2, _cost in get_successors(domain, agent, node.state, cidx, horizon):
             if hard_paths and hits(q, t, s2[0], first=True):
                 continue

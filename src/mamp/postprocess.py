@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (Config, Path, Solution, detect_conflicts, path_cost,
-                   step_collides)
+from .core import Config, Path, Solution, detect_conflicts, path_cost
 from .domains.base import LatticeDomain
 
 
@@ -52,15 +51,11 @@ def _interpolate_span(a: Config, b: Config, duration: int) -> list[Config]:
 
 
 def _span_ok(domain: LatticeDomain, agent: int, candidate: list[Config],
-             start_t: int, others: list[tuple[int, Path]]) -> bool:
-    for t, (q, q2) in enumerate(zip(candidate, candidate[1:]), start_t):
-        if q2 != q and not (domain.is_state_valid(agent, q2)
-                            and domain.is_edge_valid(agent, q, q2)):
-            return False
-        for jid, pj in others:
-            if step_collides(domain, agent, q, q2, jid, pj.at(t), pj.at(t + 1)):
-                return False
-    return True
+             start_t: int, hits) -> bool:
+    """Every step of ``candidate`` is statically valid and hits none of the
+    other agents (``hits`` is their ``step_conflicts`` counter)."""
+    return all(domain.step_valid(agent, q, q2) and not hits(q, t, q2, first=True)
+               for t, (q, q2) in enumerate(zip(candidate, candidate[1:]), start_t))
 
 
 def shortcut_solution(solution: Solution, domain: LatticeDomain,
@@ -77,7 +72,8 @@ def shortcut_solution(solution: Solution, domain: LatticeDomain,
         waypoints = list(paths[agent].waypoints)
         before_steps = path_cost(paths[agent])
         before_motion = domain.motion_cost_path(agent, waypoints)
-        others = [(j, paths[j]) for j in range(n) if j != agent]
+        hits = domain.step_conflicts(
+            agent, [(j, paths[j]) for j in range(n) if j != agent])
         a = 0
         while a < len(waypoints) - 2:
             replaced = False
@@ -88,7 +84,7 @@ def shortcut_solution(solution: Solution, domain: LatticeDomain,
                     replaced = True
                     break
                 report.attempted += 1
-                if _span_ok(domain, agent, candidate, a, others):
+                if _span_ok(domain, agent, candidate, a, hits):
                     waypoints[a:b + 1] = candidate
                     report.accepted += 1
                     a = b

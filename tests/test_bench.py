@@ -212,6 +212,20 @@ class TestCli:
                      "--out", str(out)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("generate", [
+        "corridor-grid:foo=3",
+        "circle-arms:links=0",
+        "circle-arms:links=-2",
+        "shelf-lite:n=2,resolution=0",
+    ], ids=["unknown-key", "links-0", "links-negative", "resolution-0"])
+    def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate):
+        out = tmp_path / "out.csv"
+        assert main(["--generate", generate, "--planners", "cbs",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mamp-bench: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_scene_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.scene"
         assert main(["--scene", str(missing), "--planners", "cbs"]) == 2

@@ -189,7 +189,10 @@ class TestArmValidity:
         before = d.stats.geometry_checks
         assert d.is_edge_valid(0, (0,), (1,))
         assert d.stats.geometry_checks == before
-        assert d.cache.lookup_edge(0, ((0,), (1,))) is True
+        hits = d.stats.cache_hits
+        assert d.is_edge_valid(0, (1,), (0,))  # one verdict per unordered edge
+        assert d.stats.cache_hits == hits + 1
+        assert d.stats.geometry_checks == before
 
     def test_cache_disabled_recomputes(self):
         d = one_joint_arm(cache=False)

@@ -96,7 +96,7 @@ class TestExpandCTNode:
         assert root.conflicts
         children, _, timed = expand_ct_node(
             domain, root, SWAP["starts"], SWAP["goals"], cfg("cbs"),
-            LLParams(), None, itertools.count(1), [[], []])
+            LLParams(), None, itertools.count(1))
         assert not timed and len(children) == 2
         agents = set()
         for child in children:
@@ -122,7 +122,7 @@ class TestExpandCTNode:
                       (0.0, 0.0))
         children, _, _ = expand_ct_node(
             domain, node, starts, goals, cfg("cbs"), LLParams(), None,
-            itertools.count(1), [[], []])
+            itertools.count(1))
         assert len(children) == 1
         new = next(iter(children[0].constraints))
         assert new.agent == 1
@@ -140,10 +140,10 @@ class TestExpandCTNode:
                       tuple(detect_conflicts(paths, domain)), (0.0, 0.0))
         warm, warm_exp, _ = expand_ct_node(
             GridDomain(9, 9), root, starts, goals, pc, llp, None,
-            itertools.count(1), [[], []])
+            itertools.count(1))
         cold, cold_exp, _ = expand_ct_node(
             GridDomain(9, 9), root, starts, goals, cfg("bcbs", w1L=50.0),
-            llp, None, itertools.count(1), [[], []])
+            llp, None, itertools.count(1))
         assert [c.cost for c in warm] == [c.cost for c in cold]
         assert warm_exp < cold_exp
 
@@ -336,18 +336,6 @@ class TestCorpusProperties:
             if a.success:
                 assert a.cost == b.cost
 
-    def test_experience_source_ablations_agree(self):
-        for inst in self.instances[:8]:
-            costs = set()
-            for source in ("parent-path", "branch-paths", "all-ct-paths"):
-                r = plan(inst.domain(), inst.starts, inst.goals,
-                         cfg("xcbs", w1L=1.0, horizon=10,
-                             experience_source=source))
-                assert r.success
-                assert validate_solution(inst.domain(), r.solution, r.constraints)
-                costs.add(r.cost)
-            assert len(costs) == 1  # all optimal
-
     def test_min_lb_monotone_for_ecbs(self):
         orig = CTQueue.pop
         bases = []
@@ -389,9 +377,7 @@ class TestCorpusProperties:
 class TestPlannerConfig:
     def test_variant_invariants_enforced(self):
         with pytest.raises(ValueError, match="requires w2L = 1"):
-            PlannerConfig("xcbs", w2L=1.3, use_experience=True)
-        with pytest.raises(ValueError, match="use_experience"):
-            PlannerConfig("ecbs", use_experience=True)
+            PlannerConfig("xcbs", w2L=1.3)
         with pytest.raises(ValueError, match=">= 1"):
             PlannerConfig("ecbs", w1L=0.5)
         with pytest.raises(ValueError, match="unknown planner"):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path,
@@ -407,3 +407,56 @@ class TestConflictTableParity:
                 if table.success:
                     assert table.solution == pairs.solution
                 assert table.collision_checks <= pairs.collision_checks
+
+
+def _facing_arms() -> ArmDomain:
+    """Two 1-link arms whose full-circle sweeps overlap."""
+    res = math.pi / 4
+    return ArmDomain([ArmSpec((-0.5, 0.0), (0.7,), res, ((-4, 4),)),
+                      ArmSpec((0.5, 0.0), (0.7,), res, ((-4, 4),))])
+
+
+class TestHardPathsOracle:
+    """The prioritized-planning low level (a hard collision filter on every
+    step and a parked check at the goal) finds the oracle's optimal cost
+    against fixed other agents that walk through and park on the goal."""
+
+    H = 10
+
+    def _check(self, data, domain, configs, others_ids):
+        def walk(jid):
+            q = data.draw(st.sampled_from(configs(jid)))
+            wps = [q]
+            for _ in range(data.draw(st.integers(0, 6))):
+                q = data.draw(st.sampled_from(domain.successor_configs(jid, q)))
+                wps.append(q)
+            return Path(tuple(wps))
+        others = [(j, walk(j)) for j in others_ids]
+        start = data.draw(st.sampled_from(configs(0)))
+        goal = data.draw(st.sampled_from(configs(0)))
+        assume(not any(domain.pairwise_collision(0, start, start, j, p.at(0), p.at(0))
+                       for j, p in others))
+        want = timed_optimal_cost(domain, 0, start, goal, horizon=self.H,
+                                  other_paths=others, hard=True)
+        got = solve(domain, 0, start, goal, other_paths=others, hard_paths=True,
+                    params=LLParams(horizon=self.H))
+        assert got.cost == want, (start, goal, others)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.integers(2, 3),
+           st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=2),
+           st.integers(1, 3))
+    def test_grid(self, data, width, height, blocked, n_others):
+        domain = GridDomain(width, height, blocked)
+        free = [(x, y) for x in range(width) for y in range(height)
+                if domain.is_state_valid(0, (x, y))]
+        assume(free)
+        self._check(data, domain, lambda _: free, range(1, n_others + 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_arm(self, data):
+        domain = _facing_arms()
+        self._check(data, domain,
+                    lambda j: [(k,) for k in range(-4, 5)
+                               if domain.is_state_valid(j, (k,))], [1])
