@@ -2,17 +2,16 @@
 experience reuse, a grid and a planar-arm domain, and a benchmark CLI."""
 
 from .core import (Config, Conflict, Constraint, ConstraintIndex, Path,
-                   Solution, concat_paths, conflict_to_constraints,
-                   detect_conflicts, path_cost, strip_time, violates)
+                   Solution, conflict_to_constraints, detect_conflicts,
+                   path_cost, strip_time, violates)
 from .domains import (ArmDomain, ArmSpec, Disc, GridDomain, Segment,
                       forward_kinematics, get_successors)
 from .lowlevel import (FocalQueue, LLParams, LowLevelResult,
                        push_partial_experience, solve, suffix,
                        try_insert_or_update)
 from .highlevel import (CTNode, CTQueue, OracleGuardError, PlanResult,
-                        PlannerConfig, expand_ct_node, plan,
-                        plan_coupled_oracle, plan_prioritized, run_planner,
-                        validate_solution)
+                        PlannerConfig, certify, expand_ct_node, plan,
+                        plan_coupled_oracle, plan_prioritized, run_planner)
 from .postprocess import ShortcutReport, shortcut_solution
 from .scene import Scene, SceneError, parse_scene, serialize_scene
 from .bench import (ExperimentSpec, MetricsRow, default_paper_params,
@@ -25,12 +24,12 @@ __all__ = [
     "Constraint", "ConstraintIndex", "Disc", "ExperimentSpec", "FocalQueue",
     "GridDomain", "LLParams", "LowLevelResult", "MetricsRow",
     "OracleGuardError", "Path", "PlanResult", "PlannerConfig", "Scene",
-    "SceneError", "ShortcutReport", "Solution", "concat_paths",
+    "SceneError", "ShortcutReport", "Solution", "certify",
     "conflict_to_constraints", "default_paper_params", "detect_conflicts",
     "expand_ct_node", "forward_kinematics", "generate_scene",
     "get_successors", "parse_scene", "path_cost", "plan",
     "plan_coupled_oracle", "plan_prioritized", "push_partial_experience",
     "revalidate_dump", "run_experiments", "run_planner",
     "serialize_scene", "shortcut_solution", "solve", "strip_time", "suffix",
-    "try_insert_or_update", "validate_solution", "violates",
+    "try_insert_or_update", "violates",
 ]

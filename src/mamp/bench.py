@@ -20,9 +20,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .core import Path, Solution, detect_conflicts, path_cost
+from .core import Path, Solution
 from .domains import ArmSpec, Segment
-from .highlevel import OracleGuardError, PlannerConfig, run_planner
+from .highlevel import OracleGuardError, PlannerConfig, certify, run_planner
 from .postprocess import shortcut_solution
 from .scene import Scene, SceneError, parse_scene, quantize, serialize_scene
 
@@ -89,7 +89,7 @@ class ExperimentSpec:
         if self.trials < 1:
             raise ValueError("trials must be positive")
         for name, cfg in self.planners:
-            if cfg.timeout <= 0:
+            if not cfg.timeout > 0:
                 raise ValueError(f"planner {name}: timeout must be positive")
         if (self.scene_text is None) == (self.generate is None):
             raise ValueError("exactly one of scene_text / generate is required")
@@ -350,15 +350,12 @@ def dump_solution(scene_id: str, planner: str, trial: int,
     return "\n".join(lines) + "\n"
 
 
-def revalidate_dump(scene_text: str, dump_text: str,
-                    eps: float = 1e-6) -> tuple[bool, str]:
-    """Re-check a dumped solution from its serialized form: each path runs
-    from its scene start to its goal by waits and statically valid lattice
-    moves, the solution is conflict-free, the cost is consistent, and it is
-    within the w1L*w2L*wH bound of the stored lower bound. A malformed dump
-    yields (False, reason) as well."""
+def revalidate_dump(scene_text: str, dump_text: str) -> tuple[bool, str]:
+    """Re-check a dumped solution from its serialized form alone: parse it,
+    then `certify` it against the scene with the stored cost and the
+    w1L*w2L*wH bound of the stored lower bound. A malformed dump yields
+    (False, reason) as well."""
     scene = parse_scene(scene_text)
-    domain = scene.build_domain()
     paths: list[Path] = []
     cost_steps = None
     lb = None
@@ -384,31 +381,15 @@ def revalidate_dump(scene_text: str, dump_text: str,
                 current = None
             elif current is not None:
                 current.append(tuple(int(v) for v in parts[1:]))
+        if cost_steps is None:
+            raise ValueError("no 'cost_steps' line")
         if not math.isfinite(factor) or (lb is not None and not math.isfinite(lb)):
             raise ValueError(f"non-finite bound: lb {lb}, weights {factor}")
     except (ValueError, IndexError) as exc:
         return False, f"malformed dump: {exc}"
-    if len(paths) != len(scene.starts):
-        return False, "agent count mismatch"
-    for i, (path, start, goal) in enumerate(zip(paths, scene.starts, scene.goals)):
-        wps = path.waypoints
-        if not wps or wps[0] != start or wps[-1] != goal:
-            return False, f"agent {i}: path does not run from {start} to {goal}"
-        for t, q in enumerate(wps):
-            if len(q) != len(start) or not domain.is_state_valid(i, q):
-                return False, f"agent {i}: invalid state {q} at t={t}"
-        for t, (q, q2) in enumerate(zip(wps, wps[1:])):
-            if not (domain.is_lattice_edge(i, q, q2)
-                    and domain.step_valid(i, q, q2)):
-                return False, f"agent {i}: invalid move {q} -> {q2} at t={t}"
-    if detect_conflicts(paths, domain):
-        return False, "dumped solution has conflicts"
-    total = sum(path_cost(p) for p in paths)
-    if total != cost_steps:
-        return False, f"cost mismatch: recomputed {total}, stored {cost_steps}"
-    if lb is not None and total > factor * lb + eps:
-        return False, f"suboptimality bound violated: {total} > {factor} * {lb}"
-    return True, "ok"
+    return certify(scene.build_domain(), scene.starts, scene.goals,
+                   Solution(tuple(paths)), cost=cost_steps,
+                   bound=None if lb is None else factor * lb)
 
 
 def _scene_for_trial(spec: ExperimentSpec, trial: int) -> tuple[str, str]:

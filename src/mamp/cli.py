@@ -47,22 +47,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    registry = default_paper_params(timeout=args.timeout)
-    planners = []
-    for name in args.planners.split(","):
-        name = name.strip().lower()
-        if not name:
-            continue
-        if name not in registry:
-            parser.print_usage(sys.stderr)
-            print(f"{parser.prog}: error: unknown planner {name!r}; "
-                  f"registered: {', '.join(registry)}", file=sys.stderr)
-            return 1
-        planners.append((name, registry[name]))
-    if not planners:
-        print(f"{parser.prog}: error: no planners selected", file=sys.stderr)
-        return 1
-
     scene_text = None
     scene_name = "scene"
     if args.scene:
@@ -75,6 +59,18 @@ def main(argv=None) -> int:
         scene_name = args.scene.rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
     try:
+        registry = default_paper_params(timeout=args.timeout)
+        planners = []
+        for name in args.planners.split(","):
+            name = name.strip().lower()
+            if not name:
+                continue
+            if name not in registry:
+                raise ValueError(f"unknown planner {name!r}; "
+                                 f"registered: {', '.join(registry)}")
+            planners.append((name, registry[name]))
+        if not planners:
+            raise ValueError("no planners selected")
         spec = ExperimentSpec(planners=planners, trials=args.trials,
                               seed=args.seed, out=args.out,
                               dump_dir=args.dump_paths,

@@ -126,17 +126,6 @@ def path_cost(path: Path) -> int:
     return t
 
 
-def concat_paths(p1: Path, p2: Path) -> Path:
-    """Join two paths sharing a junction waypoint (kept once)."""
-    if not p1.waypoints:
-        return p2
-    if not p2.waypoints:
-        return p1
-    if p1.end != p2.waypoints[0]:
-        raise ValueError("paths do not share a junction waypoint")
-    return Path(p1.waypoints + p2.waypoints[1:])
-
-
 def strip_time(path: Path) -> Experience:
     """Drop the time index, keeping the waypoint order (waits and cycles
     stay as repeated entries)."""

@@ -4,8 +4,8 @@ constraint-aware successor expansion and per-replan conflict counting.
 Each per-step question has one answer here. `step_valid` is the static
 legality of one timestep (a wait, or a move to a valid configuration along
 a valid edge); `step_conflicts` counts the fixed other agents that a step
-hits. The low level, the shortcutter and the solution checkers all ask
-these two methods.
+hits. The low level and the shortcutter ask both methods; the solution
+certificate (`certify`) asks `step_valid`.
 
 A domain is immutable after construction except for its counters and its
 internal memo tables, which only ever record verdicts that a fresh

@@ -38,6 +38,7 @@ from . import lowlevel
 from .lowlevel import LLParams
 
 VARIANTS = ("cbs", "bcbs", "ecbs", "xcbs", "xecbs", "pp", "coupled")
+EPS = 1e-6  # tolerance of the certificate's bound check
 
 
 class OracleGuardError(RuntimeError):
@@ -54,16 +55,18 @@ class PlannerConfig:
     termination: str | None = None          # None: path-aware for xecbs only
     cache: bool = True
     horizon: int | None = None
-    tmax: int = 128
 
     # each replan is warm-started with the path it replaces
     experience_source = "parent-path"
+    tmax = lowlevel.TMAX  # caps the default low-level horizon
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown planner variant {self.variant!r}")
-        if min(self.w1L, self.w2L, self.wH) < 1.0:
+        if not all(w >= 1.0 for w in (self.w1L, self.w2L, self.wH)):
             raise ValueError("suboptimality factors must be >= 1")
+        if not self.timeout >= 0:
+            raise ValueError("timeout must be >= 0")
         fixed_unit = {
             "cbs": ("w1L", "w2L", "wH"),
             "xcbs": ("w2L", "wH"),
@@ -177,7 +180,7 @@ def _check_instance(domain: LatticeDomain, starts, goals) -> tuple[list, list]:
 
 def _ll_params(config: PlannerConfig) -> LLParams:
     return LLParams(w1=config.w1L, w2=config.w2L, f2=config.f2L,
-                    horizon=config.horizon, tmax=config.tmax,
+                    horizon=config.horizon,
                     termination=config.effective_termination)
 
 
@@ -303,9 +306,8 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
     for agent in order:
         span = max((p.duration for _, p in fixed), default=0)
         base = config.horizon if config.horizon is not None \
-            else min(domain.num_vertices(agent), config.tmax)
-        llp = LLParams(w1=config.w1L, w2=1.0, f2="f1", horizon=base + span,
-                       tmax=config.tmax)
+            else min(domain.num_vertices(agent), lowlevel.TMAX)
+        llp = LLParams(w1=config.w1L, w2=1.0, f2="f1", horizon=base + span)
         res = lowlevel.solve(domain, agent, starts[agent], goals[agent], (), (),
                              llp, other_paths=fixed, hard_paths=True,
                              deadline=deadline)
@@ -426,17 +428,36 @@ def run_planner(domain: LatticeDomain, starts, goals,
     return plan(domain, starts, goals, config)
 
 
-def validate_solution(domain: LatticeDomain, solution: Solution,
-                      constraints: Sequence[Constraint] = ()) -> bool:
-    """Static validity of the first waypoint and of every step (a grid step
-    must be a lattice move; an arm step is interpolated), then
-    conflict-freeness and per-path constraint satisfaction."""
-    for i, path in enumerate(solution.paths):
+def certify(domain: LatticeDomain, starts, goals, solution: Solution,
+            constraints: Sequence[Constraint] = (), cost: int | None = None,
+            bound: float | None = None) -> tuple[bool, str]:
+    """Full certificate of a lattice solution: one path per agent, from its
+    start to its goal by waits and statically valid lattice moves; no
+    conflicts; every constraint held; the recomputed sum of costs equal to
+    ``cost`` and within ``bound`` (when given). Returns (True, "ok") or
+    (False, reason). Not for shortcut output (multi-joint arm steps)."""
+    paths = solution.paths
+    if len(paths) != len(starts) or len(paths) != len(goals):
+        return False, "agent count mismatch"
+    for i, (path, start, goal) in enumerate(zip(paths, starts, goals)):
         wps = path.waypoints
-        if wps and not domain.is_state_valid(i, wps[0]):
-            return False
-        if not all(domain.step_valid(i, q, q2) for q, q2 in zip(wps, wps[1:])):
-            return False
-    if detect_conflicts(solution.paths, domain):
-        return False
-    return not any(violates(solution.paths[c.agent], c) for c in constraints)
+        if not wps or wps[0] != tuple(start) or wps[-1] != tuple(goal):
+            return False, f"agent {i}: path does not run from {start} to {goal}"
+        for t, q in enumerate(wps):
+            if not domain.is_state_valid(i, q):
+                return False, f"agent {i}: invalid state {q} at t={t}"
+        for t, (q, q2) in enumerate(zip(wps, wps[1:])):
+            if not (domain.is_lattice_edge(i, q, q2)
+                    and domain.step_valid(i, q, q2)):
+                return False, f"agent {i}: invalid move {q} -> {q2} at t={t}"
+    if detect_conflicts(paths, domain):
+        return False, "solution has conflicts"
+    for c in constraints:
+        if violates(paths[c.agent], c):
+            return False, f"constraint violated: {c}"
+    total = solution.sum_of_costs
+    if cost is not None and total != cost:
+        return False, f"cost mismatch: recomputed {total}, stored {cost}"
+    if bound is not None and not total <= bound + EPS:  # NaN fails too
+        return False, f"suboptimality bound violated: {total} > {bound}"
+    return True, "ok"

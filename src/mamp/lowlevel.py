@@ -30,6 +30,7 @@ from .domains.base import LatticeDomain, get_successors
 
 State = tuple[Config, int]
 INF = math.inf
+TMAX = 128  # cap on the |V| term of the default horizon
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,11 @@ class LLParams:
     w1: float = 1.0
     w2: float = 1.0
     f2: str = "f1"                 # "f1" | "conflicts"
-    horizon: int | None = None     # None: latest constraint time + min(|V|, tmax)
-    tmax: int = 128
+    horizon: int | None = None     # None: latest constraint time + min(|V|, TMAX)
     termination: str = "simple"    # experience walk: "simple" | "path-aware"
 
     def __post_init__(self):
-        if min(self.w1, self.w2) < 1.0:
+        if not (self.w1 >= 1.0 and self.w2 >= 1.0):
             raise ValueError("suboptimality factors must be >= 1")
 
 
@@ -272,7 +272,7 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
 
     horizon = params.horizon
     if horizon is None:
-        horizon = max(0, cidx.max_time + 1) + min(domain.num_vertices(agent), params.tmax)
+        horizon = max(0, cidx.max_time + 1) + min(domain.num_vertices(agent), TMAX)
     elif horizon < cidx.max_time + 1:
         raise ValueError("horizon below constraint range")
 

@@ -30,6 +30,7 @@ with y = r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import Config
@@ -44,6 +45,13 @@ def format_decimal(x: float) -> str:
     """Canonical decimal with at most nine fractional digits."""
     s = f"{x:.9f}".rstrip("0").rstrip(".")
     return "0" if s in ("", "-0") else s
+
+
+def _decimal(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"decimal {token!r} is not finite")
+    return x
 
 
 def quantize(x: float) -> float:
@@ -104,14 +112,16 @@ def _parse_arm(parts: list[str], ln: int) -> ArmSpec:
             i += 1
         fields[key] = vals
     try:
-        bx, by = (float(v) for v in fields["base"])
-        links = tuple(float(v) for v in fields["links"])
-        resolution = float(fields["resolution"][0])
+        bx, by = (_decimal(v) for v in fields["base"])
+        links = tuple(_decimal(v) for v in fields["links"])
+        resolution = _decimal(fields["resolution"][0])
         raw_limits = [int(v) for v in fields["limits"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise SceneError(f"line {ln}: bad arm descriptor ({exc})") from None
     if not links:
         raise SceneError(f"line {ln}: an arm needs at least one link")
+    if not resolution > 0:
+        raise SceneError(f"line {ln}: resolution must be positive")
     if len(raw_limits) != 2 * len(links):
         raise SceneError(f"line {ln}: limits must give one lo/hi pair per link")
     limits = tuple((raw_limits[2 * k], raw_limits[2 * k + 1]) for k in range(len(links)))
@@ -150,12 +160,16 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
             elif kw == "map":
                 in_map = True
             elif kw == "thickness":
-                thickness = float(parts[1])
+                thickness = _decimal(parts[1])
+                if thickness < 0:
+                    raise SceneError(f"line {ln}: thickness must be >= 0")
             elif kw == "substeps":
                 substeps = int(parts[1])
+                if substeps < 1:
+                    raise SceneError(f"line {ln}: substeps must be >= 1")
             elif kw == "obstacle":
                 shape = parts[1]
-                nums = [float(v) for v in parts[2:]]
+                nums = [_decimal(v) for v in parts[2:]]
                 if shape == "segment" and len(nums) == 4:
                     obstacles.append(Segment(*nums))
                 elif shape == "disc" and len(nums) == 3:

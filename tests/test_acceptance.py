@@ -13,10 +13,10 @@ import time
 import pytest
 
 import mamp.lowlevel
-from mamp import (Constraint, GridDomain, PlannerConfig, detect_conflicts,
-                  generate_scene, parse_scene, path_cost, plan,
-                  plan_coupled_oracle, plan_prioritized, shortcut_solution,
-                  solve, strip_time, validate_solution)
+from mamp import (Constraint, GridDomain, PlannerConfig, certify,
+                  detect_conflicts, generate_scene, parse_scene, path_cost,
+                  plan, plan_coupled_oracle, plan_prioritized,
+                  shortcut_solution, solve, strip_time)
 from mamp.lowlevel import LLParams
 
 from corpus import grid_corpus, random_grid_instance
@@ -234,8 +234,10 @@ def test_validity_suite():
         if not r.success:
             continue
         solved += 1
-        assert validate_solution(domain, r.solution, r.constraints or ()), \
-            f"invalid solution from {variant} on {starts}->{goals}"
+        bound = None if r.lb is None else cfg.bound_factor * r.lb
+        ok, reason = certify(domain, starts, goals, r.solution,
+                             r.constraints or (), r.cost, bound)
+        assert ok, f"{variant} on {starts}->{goals}: {reason}"
         out, rep = shortcut_solution(r.solution, domain)
         assert detect_conflicts(out.paths, domain) == [], \
             f"shortcut introduced conflicts ({variant})"

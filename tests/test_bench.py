@@ -1,13 +1,18 @@
 import csv
 import io
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mamp import (ExperimentSpec, PlannerConfig, default_paper_params,
                   generate_scene, revalidate_dump, run_experiments)
 from mamp.bench import CSV_HEADER, _scene_for_trial, parse_generate_spec, rows_to_csv
 from mamp.cli import main
+
+from mutations import mutated
 
 GRID_DOC = """domain grid
 map
@@ -36,6 +41,23 @@ def _dump(cost, *waypoints):
 
 
 GOOD_DUMP = _dump(2, (0, 0), (1, 0), (2, 0))
+
+ARM_DOC = """domain arm
+thickness 0.04
+substeps 8
+arm base 0 0 links 0.4 resolution 0.196349541 limits -16 16
+agent start 0 goal 2
+"""
+
+ARM_DUMP = """cost_steps 2
+lb 2.0
+w1l 1.0 w2l 1.0 wh 1.0
+path 0
+0 0
+1 1
+2 2
+endpath
+"""
 
 
 def _planners(*names, timeout=10.0):
@@ -160,11 +182,22 @@ class TestRunExperiments:
         GOOD_DUMP.replace("lb -", "lb nan"),
         GOOD_DUMP.replace("lb -", "lb inf"),
         GOOD_DUMP.replace("w1l 1.0", "w1l nan"),
+        GOOD_DUMP.replace("cost_steps 2\n", ""),
     ], ids=["stray-endpath", "short-w1l", "bad-cost", "bad-waypoint",
-            "lb-nan", "lb-inf", "weight-nan"])
+            "lb-nan", "lb-inf", "weight-nan", "no-cost"])
     def test_revalidator_is_total(self, dump):
         ok, detail = revalidate_dump(WALL_DOC, dump)
         assert not ok and "malformed" in detail
+
+    @pytest.mark.parametrize("scene_text,dump", [(WALL_DOC, GOOD_DUMP),
+                                                 (ARM_DOC, ARM_DUMP)],
+                             ids=["grid", "arm"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dump_gets_a_verdict(self, scene_text, dump, data):
+        assert revalidate_dump(scene_text, dump) == (True, "ok")
+        ok, reason = revalidate_dump(scene_text, data.draw(mutated(dump)))
+        assert isinstance(ok, bool) and isinstance(reason, str)
 
     def test_revalidator_bound_is_live(self):
         ok, detail = revalidate_dump(WALL_DOC, GOOD_DUMP.replace("lb -", "lb 1"))
@@ -176,6 +209,9 @@ class TestRunExperiments:
                            scene_text=GRID_DOC)
         with pytest.raises(ValueError, match="timeout"):
             ExperimentSpec(planners=_planners("cbs", timeout=-1),
+                           scene_text=GRID_DOC)
+        with pytest.raises(ValueError, match="timeout"):
+            ExperimentSpec(planners=_planners("cbs", timeout=math.nan),
                            scene_text=GRID_DOC)
         with pytest.raises(ValueError, match="scene_text / generate"):
             ExperimentSpec(planners=_planners("cbs"))
@@ -210,6 +246,9 @@ class TestCli:
         scene.write_text(GRID_DOC)
         assert main(["--scene", str(scene), "--planners", "warp-drive",
                      "--out", str(out)]) == 1
+        assert main(["--scene", str(scene), "--planners", "cbs",
+                     "--timeout", "nan", "--out", str(out)]) == 1
+        assert not out.exists()
         capsys.readouterr()
 
     @pytest.mark.parametrize("generate", [
@@ -234,6 +273,16 @@ class TestCli:
         assert main(["--scene", str(bad), "--planners", "cbs"]) == 2
         err = capsys.readouterr().err
         assert "scene error" in err and "line 3" in err
+
+    def test_arm_resolution_zero_exits_2(self, tmp_path, capsys):
+        scene = tmp_path / "arm.scene"
+        scene.write_text(ARM_DOC.replace("resolution 0.196349541",
+                                         "resolution 0"))
+        out = tmp_path / "out.csv"
+        assert main(["--scene", str(scene), "--planners", "cbs",
+                     "--out", str(out)]) == 2
+        assert "resolution must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cache_and_termination_flags(self, tmp_path):
         scene = tmp_path / "mini.scene"

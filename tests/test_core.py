@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mamp
-from mamp import (Conflict, Constraint, GridDomain, Path, concat_paths,
+from mamp import (Conflict, Constraint, GridDomain, Path,
                   conflict_to_constraints, detect_conflicts, path_cost,
                   strip_time, violates)
 from mamp.core import EDGE, VERTEX, ConstraintIndex
@@ -51,7 +51,7 @@ class TestPathCost:
             wp1 = wp1 + [(wp1[-1][0] + 1, wp1[-1][1])]
         p1 = P(*wp1)
         p2 = P(*([wp1[-1]] + wp2))
-        assert path_cost(concat_paths(p1, p2)) == path_cost(p1) + path_cost(p2)
+        assert path_cost(P(*(wp1 + wp2))) == path_cost(p1) + path_cost(p2)
 
 
 class TestStripTime:

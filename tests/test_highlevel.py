@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamp import (Conflict, Constraint, GridDomain, Path, PlannerConfig,
-                  Solution, detect_conflicts, plan, plan_coupled_oracle,
-                  plan_prioritized, solve, validate_solution, violates)
+                  Solution, certify, detect_conflicts, plan,
+                  plan_coupled_oracle, plan_prioritized, solve, violates)
 from mamp.core import VERTEX
 from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
 from mamp.lowlevel import LLParams
@@ -64,19 +65,42 @@ class TestPlanExamples:
             assert not violates(r.solution.paths[c.agent], c)
 
 
-class TestValidateSolution:
+class TestCertify:
     def test_accepts_waits_and_lattice_moves(self):
         sol = Solution((Path(((0, 0), (1, 0), (1, 0))), Path(((2, 0), (2, 0)))))
-        assert validate_solution(GridDomain(3, 1), sol)
+        assert certify(GridDomain(3, 1), [(0, 0), (2, 0)], [(1, 0), (2, 0)],
+                       sol, cost=1, bound=1.0) == (True, "ok")
 
     def test_rejects_teleport(self):
-        assert not validate_solution(GridDomain(3, 1),
-                                     Solution((Path(((0, 0), (2, 0))),)))
+        ok, reason = certify(GridDomain(3, 1), [(0, 0)], [(2, 0)],
+                             Solution((Path(((0, 0), (2, 0))),)))
+        assert not ok and "invalid move" in reason
 
     def test_rejects_step_through_wall(self):
         domain = GridDomain(3, 3, blocked=[(1, 1)])
         sol = Solution((Path(((1, 0), (1, 1), (1, 2))),))
-        assert not validate_solution(domain, sol)
+        ok, reason = certify(domain, [(1, 0)], [(1, 2)], sol)
+        assert not ok and "invalid state" in reason
+
+    @pytest.mark.parametrize("starts,goals,kw,fragment", [
+        ([(0, 0)], [(1, 0)], {}, "agent count"),
+        ([(1, 0), (2, 0)], [(1, 0), (2, 0)], {}, "does not run from"),
+        ([(0, 0), (2, 0)], [(1, 0), (2, 0)],
+         dict(constraints=[Constraint.vertex(0, (1, 0), 1)]), "constraint"),
+        ([(0, 0), (2, 0)], [(1, 0), (2, 0)], dict(cost=2), "cost"),
+        ([(0, 0), (2, 0)], [(1, 0), (2, 0)], dict(bound=0.5), "bound"),
+        ([(0, 0), (2, 0)], [(1, 0), (2, 0)], dict(bound=math.nan), "bound"),
+    ], ids=["agents", "endpoints", "constraint", "cost", "bound", "bound-nan"])
+    def test_each_check_is_live(self, starts, goals, kw, fragment):
+        sol = Solution((Path(((0, 0), (1, 0), (1, 0))), Path(((2, 0), (2, 0)))))
+        ok, reason = certify(GridDomain(3, 1), starts, goals, sol, **kw)
+        assert not ok and fragment in reason
+
+    def test_rejects_conflicts(self):
+        sol = Solution((Path(((0, 0), (1, 0))), Path(((1, 0), (0, 0)))))
+        ok, reason = certify(GridDomain(2, 1), [(0, 0), (1, 0)],
+                             [(1, 0), (0, 0)], sol)
+        assert not ok and "conflicts" in reason
 
 
 class TestExpandCTNode:
@@ -322,10 +346,12 @@ class TestCorpusProperties:
             r = plan(inst.domain(), inst.starts, inst.goals,
                      cfg(variant, **kw, horizon=10))
             if r.success:
-                assert validate_solution(inst.domain(), r.solution, r.constraints)
+                assert certify(inst.domain(), inst.starts, inst.goals, r.solution,
+                               r.constraints, r.cost) == (True, "ok")
         r = plan_prioritized(inst.domain(), inst.starts, inst.goals)
         if r.success:
-            assert validate_solution(inst.domain(), r.solution)
+            assert certify(inst.domain(), inst.starts, inst.goals, r.solution,
+                           cost=r.cost) == (True, "ok")
 
     def test_xcbs_with_unit_weights_stays_optimal(self):
         for inst in self.instances[:8]:
@@ -380,6 +406,10 @@ class TestPlannerConfig:
             PlannerConfig("xcbs", w2L=1.3)
         with pytest.raises(ValueError, match=">= 1"):
             PlannerConfig("ecbs", w1L=0.5)
+        with pytest.raises(ValueError, match=">= 1"):
+            PlannerConfig.make("ecbs", w1L=math.nan, w2L=1.3, wH=1.3)
+        with pytest.raises(ValueError, match="timeout"):
+            PlannerConfig.make("cbs", timeout=math.nan)
         with pytest.raises(ValueError, match="unknown planner"):
             PlannerConfig("a-star")
 

@@ -90,6 +90,8 @@ class TestSolveExamples:
     def test_weights_below_one_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             LLParams(w2=0.5)
+        with pytest.raises(ValueError, match=">= 1"):
+            LLParams(w1=math.nan)
 
     def test_start_equals_goal(self):
         g = GridDomain(3, 3)

@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mamp import GridDomain, SceneError, generate_scene, parse_scene, serialize_scene
 from mamp.scene import Scene, format_decimal, quantize
+
+from mutations import mutated
 
 GRID_DOC = """domain grid
 map
@@ -81,6 +86,23 @@ class TestParsing:
                              " limits -16 16 -16 16",
                              "arm base 0 0 links resolution 0.196349541 limits"),
          "at least one link"),
+        (lambda d: d.replace("resolution 0.196349541", "resolution 0", 1),
+         "resolution must be positive"),
+        (lambda d: d.replace("resolution 0.196349541", "resolution -0.19", 1),
+         "line 6: resolution must"),
+        (lambda d: d.replace("resolution 0.196349541", "resolution nan", 1),
+         "decimal 'nan' is not finite"),
+        (lambda d: d.replace("resolution 0.196349541", "resolution 1e400", 1),
+         "decimal '1e400' is not finite"),
+        (lambda d: d.replace("substeps 8", "substeps 0"), "substeps must be"),
+        (lambda d: d.replace("substeps 8", "substeps -3"), "line 3: substeps"),
+        (lambda d: d.replace("thickness 0.05", "thickness nan"),
+         "line 2: .*not finite"),
+        (lambda d: d.replace("thickness 0.05", "thickness -0.05"),
+         "thickness must be"),
+        (lambda d: d.replace("disc 1.2 0.4 0.15", "disc 1.2 inf 0.15"),
+         "decimal 'inf'"),
+        (lambda d: d.replace("base -1 0", "base -1 -nan"), "decimal '-nan'"),
     ])
     def test_arm_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
@@ -102,6 +124,29 @@ class TestParsing:
         assert format_decimal(-0.25) == "-0.25"
         assert format_decimal(0.0) == "0"
         assert quantize(math.pi / 16) == 0.196349541
+
+
+class TestParserFuzz:
+    """Every token-mutated scene document ends in a SceneError or in a
+    scene that passes `validate` with every number in its documented range:
+    never another exception and never a silently vacuous scene."""
+
+    @pytest.mark.parametrize("doc", [GRID_DOC, ARM_DOC], ids=["grid", "arm"])
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_mutated_scene_is_valid_or_rejected(self, doc, data):
+        try:
+            scene = parse_scene(data.draw(mutated(doc)))
+            scene.validate()
+        except SceneError:
+            return
+        decimals = [scene.thickness] + [
+            v for ob in scene.obstacles for v in dataclasses.astuple(ob)] + [
+            v for arm in scene.arms
+            for v in (*arm.base, *arm.link_lengths, arm.resolution)]
+        assert all(math.isfinite(v) for v in decimals)
+        assert scene.thickness >= 0 and scene.substeps >= 1
+        assert all(arm.resolution > 0 for arm in scene.arms)
 
 
 class TestGenerators:
