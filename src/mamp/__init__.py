@@ -3,7 +3,7 @@ experience reuse, a grid and a planar-arm domain, and a benchmark CLI."""
 
 from .core import (Config, Conflict, Constraint, ConstraintIndex, Path,
                    Solution, conflict_to_constraints, detect_conflicts,
-                   path_cost, strip_time, violates)
+                   path_cost, violates)
 from .domains import (ArmDomain, ArmSpec, Disc, GridDomain, Segment,
                       forward_kinematics, get_successors)
 from .lowlevel import (FocalQueue, LLParams, LowLevelResult,
@@ -30,6 +30,6 @@ __all__ = [
     "get_successors", "parse_scene", "path_cost", "plan",
     "plan_coupled_oracle", "plan_prioritized", "push_partial_experience",
     "revalidate_dump", "run_experiments", "run_planner",
-    "serialize_scene", "shortcut_solution", "solve", "strip_time", "suffix",
+    "serialize_scene", "shortcut_solution", "solve", "suffix",
     "try_insert_or_update", "violates",
 ]

@@ -80,7 +80,6 @@ class ExperimentSpec:
     out: str | None = None
     dump_dir: str | None = None
     cache: bool = True
-    termination: str | None = None
     scene_text: str | None = None
     scene_name: str = "scene"
     generate: str | None = None    # e.g. "circle-arms:n=2,obstacle=auto"
@@ -282,8 +281,10 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
         raise ValueError("n must be >= 1")
     if links < 1:
         raise ValueError("links must be >= 1")
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
+    if not (resolution > 0 and math.isfinite(resolution)):
+        raise ValueError("resolution must be positive and finite")
+    if not (thickness >= 0 and math.isfinite(thickness)):
+        raise ValueError("thickness must be finite and >= 0")
     rng = random.Random(seed)
     if kind == "circle-arms":
         scene = _circle_arms(rng, n, obstacle, links, link_length, resolution,
@@ -408,11 +409,8 @@ def run_experiments(spec: ExperimentSpec, log=print) -> list[MetricsRow]:
         scene_id, text = _scene_for_trial(spec, trial)
         scene = parse_scene(text, name=scene_id)
         scene.validate()
-        for name, base_cfg in spec.planners:
-            cfg = replace(base_cfg, cache=spec.cache)
-            if spec.termination is not None:
-                cfg = replace(cfg, termination=spec.termination)
-            domain = scene.build_domain(cache=cfg.cache)
+        for name, cfg in spec.planners:
+            domain = scene.build_domain(cache=spec.cache)
             t0 = time.perf_counter()
             try:
                 result = run_planner(domain, scene.starts, scene.goals, cfg)

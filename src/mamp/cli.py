@@ -36,8 +36,6 @@ def build_parser() -> _Parser:
                    help="write per-run path dumps into DIR")
     p.add_argument("--cache", choices=("on", "off"), default="on",
                    help="static-validity transition cache")
-    p.add_argument("--termination", choices=("simple", "path-aware"), default=None,
-                   help="override the experience-walk termination condition")
     return p
 
 
@@ -75,7 +73,6 @@ def main(argv=None) -> int:
                               seed=args.seed, out=args.out,
                               dump_dir=args.dump_paths,
                               cache=args.cache == "on",
-                              termination=args.termination,
                               scene_text=scene_text, scene_name=scene_name,
                               generate=args.generate)
         run_experiments(spec)

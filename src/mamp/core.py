@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 Config = tuple[int, ...]
-Experience = tuple[Config, ...]
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -124,12 +123,6 @@ def path_cost(path: Path) -> int:
     while t > 0 and wp[t - 1] == last:
         t -= 1
     return t
-
-
-def strip_time(path: Path) -> Experience:
-    """Drop the time index, keeping the waypoint order (waits and cycles
-    stay as repeated entries)."""
-    return tuple(path.waypoints)
 
 
 def step_collides(domain: PairwiseChecker, i: int, qi0: Config, qi1: Config,

@@ -189,15 +189,12 @@ class LatticeDomain:
 
 def get_successors(domain: LatticeDomain, agent: int, state: tuple[Config, int],
                    constraints: ConstraintIndex,
-                   horizon: int | None = None) -> list[tuple[tuple[Config, int], int]]:
+                   horizon: int | None = None) -> list[tuple[Config, int]]:
     """Constraint-aware timed successors of ``state``: every motion primitive
     plus wait, filtered by static validity and by vertex/edge constraints at
-    the successor time. Time advances by exactly 1; all edges cost 1."""
+    the successor time. Time advances by exactly 1 (each step costs 1)."""
     q, t = state
     if horizon is not None and t + 1 > horizon:
         return []
-    out = []
-    for q2 in domain.successor_configs(agent, q):
-        if constraints.allows_move(q, t, q2):
-            out.append(((q2, t + 1), 1))
-    return out
+    return [(q2, t + 1) for q2 in domain.successor_configs(agent, q)
+            if constraints.allows_move(q, t, q2)]

@@ -7,7 +7,8 @@ One parameterized best-first/focal search covers the whole family:
 * ecbs   -- f1H = per-node lower bound LB, focal membership cost <= wH*min LB.
 * xcbs   -- cbs + experience: each replan is warm-started with the path
             it replaces, the replanned agent's path in the parent node.
-* xecbs  -- ecbs + experience, path-aware experience termination by default.
+* xecbs  -- ecbs + experience; as the low level is given the other agents'
+            paths, the experience walk also stops at a step that hits one.
 
 Both levels run the same focal search: CT nodes go through
 `lowlevel.FocalQueue`, with `CTQueue` supplying the keys (f1H, cost, f2H).
@@ -31,14 +32,14 @@ from typing import Sequence
 
 from .core import (Conflict, Constraint, ConstraintIndex, Path, Solution,
                    conflict_to_constraints, conflicts_with_agent,
-                   detect_conflicts, path_cost, step_collides, strip_time,
-                   violates)
+                   detect_conflicts, path_cost, step_collides, violates)
 from .domains.base import LatticeDomain
 from . import lowlevel
 from .lowlevel import LLParams
 
 VARIANTS = ("cbs", "bcbs", "ecbs", "xcbs", "xecbs", "pp", "coupled")
 EPS = 1e-6  # tolerance of the certificate's bound check
+BRANCHING_LIMIT = 4096  # largest composite branching factor the oracle takes
 
 
 class OracleGuardError(RuntimeError):
@@ -52,12 +53,14 @@ class PlannerConfig:
     w2L: float = 1.0
     wH: float = 1.0
     timeout: float = 60.0
-    termination: str | None = None          # None: path-aware for xecbs only
-    cache: bool = True
     horizon: int | None = None
 
-    # each replan is warm-started with the path it replaces
+    # Constants, readable for config fingerprints: replans are warm-started
+    # with the path they replace, the experience walk's stop rule follows
+    # from f2L (see `solve`), and caching is the domain's argument.
     experience_source = "parent-path"
+    termination = None
+    cache = True
     tmax = lowlevel.TMAX  # caps the default low-level horizon
 
     def __post_init__(self):
@@ -97,12 +100,6 @@ class PlannerConfig:
     @property
     def f2L(self) -> str:
         return "conflicts" if self.variant in ("bcbs", "ecbs", "xecbs") else "f1"
-
-    @property
-    def effective_termination(self) -> str:
-        if self.termination is not None:
-            return self.termination
-        return "path-aware" if self.variant == "xecbs" else "simple"
 
     @property
     def bound_factor(self) -> float:
@@ -178,10 +175,16 @@ def _check_instance(domain: LatticeDomain, starts, goals) -> tuple[list, list]:
     return starts, goals
 
 
+def _starts_collide(domain: LatticeDomain, starts) -> bool:
+    """True iff two agents' bodies touch at their start configurations."""
+    return any(domain.pairwise_collision(i, starts[i], starts[i],
+                                         j, starts[j], starts[j])
+               for i, j in itertools.combinations(range(len(starts)), 2))
+
+
 def _ll_params(config: PlannerConfig) -> LLParams:
     return LLParams(w1=config.w1L, w2=config.w2L, f2=config.f2L,
-                    horizon=config.horizon,
-                    termination=config.effective_termination)
+                    horizon=config.horizon)
 
 
 def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
@@ -201,11 +204,9 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         child_llp = llp
         if llp.horizon is not None and llp.horizon < cidx.max_time + 1:
             child_llp = replace(llp, horizon=cidx.max_time + 1)
-        needs_others = config.f2L == "conflicts" or \
-            config.effective_termination == "path-aware"
         others = [(j, node.paths[j]) for j in range(n) if j != agent] \
-            if needs_others else None
-        experience = strip_time(node.paths[agent]) if config.use_experience else ()
+            if config.f2L == "conflicts" else None
+        experience = node.paths[agent].waypoints if config.use_experience else ()
         res = lowlevel.solve(domain, agent, starts[agent], goals[agent], cidx,
                              experience, child_llp, other_paths=others,
                              deadline=deadline)
@@ -288,8 +289,8 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
                      config: PlannerConfig | None = None,
                      order: Sequence[int] | None = None) -> PlanResult:
     """Sequential baseline: agents plan in priority order and treat earlier
-    agents' paths as hard moving obstacles. Failure of any agent fails the
-    whole query (incomplete by design)."""
+    agents' paths as hard moving obstacles. Colliding starts, or failure of
+    any agent, fail the whole query (incomplete by design)."""
     if config is None:
         config = PlannerConfig.make("pp")
     starts, goals = _check_instance(domain, starts, goals)
@@ -301,6 +302,14 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
     deadline = time.monotonic() + config.timeout
     checks0 = domain.stats.geometry_checks
     ll_total = 0
+
+    def finish(status, **kw) -> PlanResult:
+        return PlanResult(config.variant, status, ll_expansions=ll_total,
+                          collision_checks=domain.stats.geometry_checks - checks0,
+                          wall_time=time.perf_counter() - t0, **kw)
+
+    if _starts_collide(domain, starts):
+        return finish("infeasible")
     fixed: list[tuple[int, Path]] = []
     paths: dict[int, Path] = {}
     for agent in order:
@@ -312,27 +321,21 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
                              llp, other_paths=fixed, hard_paths=True,
                              deadline=deadline)
         ll_total += res.expansions
-        status = "timeout" if res.status == "timeout" else "infeasible"
         if not res.success:
-            return PlanResult(config.variant, status, ll_expansions=ll_total,
-                              collision_checks=domain.stats.geometry_checks - checks0,
-                              wall_time=time.perf_counter() - t0)
+            return finish("timeout" if res.status == "timeout" else "infeasible")
         fixed.append((agent, res.path))
         paths[agent] = res.path
     solution = Solution(tuple(paths[i] for i in range(n)))
-    return PlanResult(config.variant, "success", solution=solution,
-                      cost=solution.sum_of_costs, ll_expansions=ll_total,
-                      collision_checks=domain.stats.geometry_checks - checks0,
-                      wall_time=time.perf_counter() - t0,
-                      constraints=frozenset())
+    return finish("success", solution=solution, cost=solution.sum_of_costs,
+                  constraints=frozenset())
 
 
 def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
-                        horizon: int = 64, branching_limit: int = 4096,
+                        horizon: int | None = None,
                         deadline: float | None = None) -> PlanResult:
     """Exact minimum sum-of-costs solution by uniform-cost search over the
-    composite timed lattice. Guarded against instances whose composite
-    branching factor exceeds ``branching_limit``.
+    composite timed lattice, ``horizon`` steps deep (None: 64). Guarded
+    against composite branching factors above ``BRANCHING_LIMIT``.
 
     The search state is (per-agent configs, per-agent parked-at-goal streak);
     waits at the goal are free until the agent leaves, at which point the
@@ -348,8 +351,9 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
     branching = 1
     for i in range(n):
         branching *= domain.max_degree(i)
-    if branching > branching_limit:
+    if branching > BRANCHING_LIMIT:
         raise OracleGuardError("oracle guard exceeded")
+    horizon = 64 if horizon is None else horizon
 
     def finish(status, **kw):
         return PlanResult("coupled", status,
@@ -362,9 +366,8 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
 
     start_cfg = tuple(starts)
     goal_cfg = tuple(goals)
-    for i, j in itertools.combinations(range(n), 2):
-        if domain.pairwise_collision(i, starts[i], starts[i], j, starts[j], starts[j]):
-            return finish("infeasible")
+    if _starts_collide(domain, starts):
+        return finish("infeasible")
     start_state = (start_cfg, (0,) * n)
     dist = {start_state: 0}
     parent: dict = {start_state: None}
@@ -421,10 +424,8 @@ def run_planner(domain: LatticeDomain, starts, goals,
     if config.variant == "pp":
         return plan_prioritized(domain, starts, goals, config)
     if config.variant == "coupled":
-        return plan_coupled_oracle(
-            domain, starts, goals,
-            horizon=config.horizon if config.horizon is not None else 64,
-            deadline=time.monotonic() + config.timeout)
+        return plan_coupled_oracle(domain, starts, goals, config.horizon,
+                                   deadline=time.monotonic() + config.timeout)
     return plan(domain, starts, goals, config)
 
 

@@ -39,7 +39,6 @@ class LLParams:
     w2: float = 1.0
     f2: str = "f1"                 # "f1" | "conflicts"
     horizon: int | None = None     # None: latest constraint time + min(|V|, TMAX)
-    termination: str = "simple"    # experience walk: "simple" | "path-aware"
 
     def __post_init__(self):
         if not (self.w1 >= 1.0 and self.w2 >= 1.0):
@@ -197,8 +196,8 @@ class FocalQueue:
         return min(live) if live else INF
 
 
-def try_insert_or_update(queue: FocalQueue, parent: SearchNode, state: State,
-                         step_cost: int = 1) -> bool:
+def try_insert_or_update(queue: FocalQueue, parent: SearchNode,
+                         state: State) -> bool:
     """Relax ``state`` through ``parent``. Unseen states start at g=inf; a
     strictly better g updates cost, parent and queue position (reopening the
     state if it was closed). Returns True iff something changed."""
@@ -207,7 +206,7 @@ def try_insert_or_update(queue: FocalQueue, parent: SearchNode, state: State,
         node = SearchNode(state)
         node.h = queue.h_fn(state)
         queue.nodes[state] = node
-    g_new = parent.g + step_cost
+    g_new = parent.g + 1
     if node.g <= g_new:
         return False
     node.g = g_new
@@ -259,10 +258,10 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     ``experience`` is one time-stripped configuration sequence (in the
     constraint tree, the path being replaced). ``other_paths`` are the
     remaining agents' committed paths; they feed the conflict-count focal
-    priority, the path-aware experience termination and (with
-    ``hard_paths``, used by prioritized planning) a hard collision filter on
-    successors and on goal acceptance. Failure to reach the goal
-    within the horizon is reported in the result status, not raised.
+    priority, stop the experience walk at a step that hits one of them, and
+    with ``hard_paths`` (prioritized planning) filter successors and goal
+    acceptance. Failure to reach the goal within the horizon is reported in
+    the result status, not raised.
     """
     start, goal = tuple(start), tuple(goal)
     if not domain.is_state_valid(agent, start) or not domain.is_state_valid(agent, goal):
@@ -308,18 +307,17 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
             return False
         return not (hard_paths and hits(q, t, q2, first=True))
 
-    if params.termination == "path-aware" and others:
-        def exp_move_ok(q, t, q2):
-            return move_ok(q, t, q2) and not hits(q, t, q2, first=True)
-    else:
-        exp_move_ok = move_ok
+    def exp_move_ok(q: Config, t: int, q2: Config) -> bool:
+        # the walk also stops at a step that hits another agent, if given
+        return move_ok(q, t, q2) and not hits(q, t, q2, first=True)
 
     def parked_clear(t: int) -> bool:
         # Parking at the goal from t on must hit nobody. The position at t
-        # itself was checked by the hard filter when (goal, t) was generated.
+        # was checked by the hard filter when (goal, t) was generated (at
+        # t = 0, by plan_prioritized's start-pair test), and the others stay
+        # parked from their path ends on, so steps t .. last - 1 remain.
         last = max((p.duration for _, p in others), default=0)
-        return not any(hits(goal, s, goal, first=True)
-                       for s in range(t, max(t, last) + 1))
+        return not any(hits(goal, s, goal, first=True) for s in range(t, last))
 
     h = functools.cache(lambda q: domain.heuristic(agent, q, goal))  # per solve
     queue = FocalQueue(params.w1, params.w2, params.f2, h_fn=lambda s: h(s[0]),
@@ -363,7 +361,7 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
                                   "success", trace)
         if q in members:
             push_partial_experience(queue, experience, node, exp_move_ok)
-        for s2, _cost in get_successors(domain, agent, node.state, cidx, horizon):
+        for s2 in get_successors(domain, agent, node.state, cidx, horizon):
             if hard_paths and hits(q, t, s2[0], first=True):
                 continue
             try_insert_or_update(queue, node, s2)

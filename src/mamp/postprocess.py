@@ -58,17 +58,16 @@ def _span_ok(domain: LatticeDomain, agent: int, candidate: list[Config],
                for t, (q, q2) in enumerate(zip(candidate, candidate[1:]), start_t))
 
 
-def shortcut_solution(solution: Solution, domain: LatticeDomain,
-                      order=None) -> tuple[Solution, ShortcutReport]:
+def shortcut_solution(solution: Solution,
+                      domain: LatticeDomain) -> tuple[Solution, ShortcutReport]:
     """Shorten each agent's motion without changing durations or creating
     new conflicts. Input must be conflict-free."""
     if detect_conflicts(solution.paths, domain):
         raise ValueError("invalid input solution")
     n = len(solution.paths)
-    order = tuple(order) if order is not None else tuple(range(n))
     paths = list(solution.paths)
     report = ShortcutReport(agents=[None] * n)  # indexed by agent
-    for agent in order:
+    for agent in range(n):
         waypoints = list(paths[agent].waypoints)
         before_steps = path_cost(paths[agent])
         before_motion = domain.motion_cost_path(agent, waypoints)

@@ -116,8 +116,13 @@ def _parse_arm(parts: list[str], ln: int) -> ArmSpec:
         links = tuple(_decimal(v) for v in fields["links"])
         resolution = _decimal(fields["resolution"][0])
         raw_limits = [int(v) for v in fields["limits"]]
-    except (KeyError, ValueError, TypeError) as exc:
+        # joint angles are index * resolution: past the float range this
+        # raises OverflowError, or gives an infinite angle
+        widest = max(map(abs, raw_limits), default=0) * resolution
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise SceneError(f"line {ln}: bad arm descriptor ({exc})") from None
+    if not math.isfinite(widest):
+        raise SceneError(f"line {ln}: joint limits times resolution must be finite")
     if not links:
         raise SceneError(f"line {ln}: an arm needs at least one link")
     if not resolution > 0:

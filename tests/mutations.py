@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 # both formats, and plain junk.
 TOKENS = (
     "0", "-1", "1", "2", "16", "-16", "0.5", "-0.19", "nan", "-nan", "inf",
-    "-inf", "1e400", "-1e400", "1e-400", "99999999999999999999", "x", "",
+    "-inf", "1e400", "-1e400", "1e-400", "99999999999999999999",
+    "1" + "0" * 400, "x", "",
     ".", "#", "..#.", "-", "domain", "grid", "arm", "map", "endmap",
     "agent", "start", "goal", "thickness", "substeps", "obstacle",
     "segment", "disc", "base", "links", "resolution", "limits", "path",

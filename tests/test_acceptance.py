@@ -16,7 +16,7 @@ import mamp.lowlevel
 from mamp import (Constraint, GridDomain, PlannerConfig, certify,
                   detect_conflicts, generate_scene, parse_scene, path_cost,
                   plan, plan_coupled_oracle, plan_prioritized,
-                  shortcut_solution, solve, strip_time)
+                  shortcut_solution, solve)
 from mamp.lowlevel import LLParams
 
 from corpus import grid_corpus, random_grid_instance

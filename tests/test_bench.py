@@ -248,21 +248,28 @@ class TestCli:
                      "--out", str(out)]) == 1
         assert main(["--scene", str(scene), "--planners", "cbs",
                      "--timeout", "nan", "--out", str(out)]) == 1
+        assert main(["--scene", str(scene), "--planners", "xecbs",
+                     "--termination", "simple", "--out", str(out)]) == 1
         assert not out.exists()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("generate", [
-        "corridor-grid:foo=3",
-        "circle-arms:links=0",
-        "circle-arms:links=-2",
-        "shelf-lite:n=2,resolution=0",
-    ], ids=["unknown-key", "links-0", "links-negative", "resolution-0"])
-    def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate):
+    @pytest.mark.parametrize("generate,key", [
+        ("corridor-grid:foo=3", "foo"),
+        ("circle-arms:links=0", "links"),
+        ("circle-arms:links=-2", "links"),
+        ("shelf-lite:n=2,resolution=0", "resolution"),
+        ("circle-arms:resolution=inf", "resolution"),
+        ("circle-arms:thickness=nan", "thickness"),
+        ("circle-arms:n=2,thickness=-1", "thickness"),
+    ], ids=["unknown-key", "links-0", "links-negative", "resolution-0",
+            "resolution-inf", "thickness-nan", "thickness-negative"])
+    def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
         out = tmp_path / "out.csv"
         assert main(["--generate", generate, "--planners", "cbs",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mamp-bench: error: ") and err.count("\n") == 1
+        assert key in err
         assert not out.exists()
 
     def test_scene_errors_exit_2(self, tmp_path, capsys):
@@ -289,8 +296,7 @@ class TestCli:
         scene.write_text(GRID_DOC)
         out = tmp_path / "out.csv"
         code = main(["--scene", str(scene), "--planners", "xecbs",
-                     "--cache", "off", "--termination", "simple",
-                     "--out", str(out)])
+                     "--cache", "off", "--out", str(out)])
         assert code == 0
 
     def test_dump_paths_flag(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import mamp
 from mamp import (Conflict, Constraint, GridDomain, Path,
                   conflict_to_constraints, detect_conflicts, path_cost,
-                  strip_time, violates)
+                  violates)
 from mamp.core import EDGE, VERTEX, ConstraintIndex
 
 from corpus import two_link_arm_pair
@@ -52,17 +52,6 @@ class TestPathCost:
         p1 = P(*wp1)
         p2 = P(*([wp1[-1]] + wp2))
         assert path_cost(P(*(wp1 + wp2))) == path_cost(p1) + path_cost(p2)
-
-
-class TestStripTime:
-    def test_waits_and_cycles_preserved(self):
-        assert strip_time(P(A, B, B, C)) == (A, B, B, C)
-
-    def test_single(self):
-        assert strip_time(P(A)) == (A,)
-
-    def test_empty(self):
-        assert strip_time(P()) == ()
 
 
 class TestDetectConflicts:

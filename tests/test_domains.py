@@ -24,14 +24,14 @@ class TestGridSuccessors:
         g = GridDomain(3, 3)
         succ = get_successors(g, 0, ((1, 1), 0), N())
         assert len(succ) == 5
-        assert all(t == 1 for (_, t), _c in succ)
-        assert ((1, 1), 1) in [s for s, _ in succ]  # wait
+        assert all(t == 1 for _, t in succ)
+        assert ((1, 1), 1) in succ  # wait
 
     def test_vertex_constraint_blocks_north(self):
         g = GridDomain(3, 3)
         succ = get_successors(g, 0, ((1, 1), 0), N(Constraint.vertex(0, (1, 2), 1)))
         assert len(succ) == 4
-        assert ((1, 2), 1) not in [s for s, _ in succ]
+        assert ((1, 2), 1) not in succ
 
     def test_constraint_at_other_time_ignored(self):
         g = GridDomain(3, 3)
@@ -41,7 +41,7 @@ class TestGridSuccessors:
     def test_blocked_and_border_cells(self):
         g = GridDomain(3, 3, blocked=[(1, 0)])
         succ = get_successors(g, 0, ((0, 0), 0), N())
-        assert [s for s, _ in succ] == [((0, 0), 1), ((0, 1), 1)]
+        assert succ == [((0, 0), 1), ((0, 1), 1)]
 
     def test_horizon_cuts_generation(self):
         g = GridDomain(3, 3)
@@ -234,12 +234,12 @@ class TestArmSuccessors:
     def test_lower_limit_clamps(self):
         d = one_joint_arm()
         succ = get_successors(d, 0, ((-16,), 0), N())
-        assert [s for s, _ in succ] == [((-16,), 1), ((-15,), 1)]
+        assert succ == [((-16,), 1), ((-15,), 1)]
 
     def test_interior_has_wait_plus_two(self):
         d = one_joint_arm()
         succ = get_successors(d, 0, ((3,), 0), N())
-        assert [s for s, _ in succ] == [((2,), 1), ((3,), 1), ((4,), 1)]
+        assert succ == [((2,), 1), ((3,), 1), ((4,), 1)]
 
 
 class TestPairwise:

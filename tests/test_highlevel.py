@@ -277,6 +277,12 @@ class TestPrioritized:
         assert r.success
         assert r.cost == solve(g, 0, (0, 0), (3, 3)).cost
 
+    def test_colliding_starts_are_infeasible(self):
+        # both agents start on the same cell
+        r = plan_prioritized(GridDomain(3, 1), [(0, 0), (0, 0)],
+                             [(0, 0), (2, 0)])
+        assert r.status == "infeasible"
+
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             plan_prioritized(GridDomain(3, 3), [(0, 0), (1, 1)],
@@ -418,6 +424,4 @@ class TestPlannerConfig:
         assert (c.w1L, c.w2L, c.wH, c.use_experience) == (50.0, 1.0, 1.0, True)
         assert c.f2L == "f1" and c.f1H == "cost"
         x = PlannerConfig.make("xecbs", w1L=50.0, w2L=1.3, wH=1.3)
-        assert x.effective_termination == "path-aware"
         assert x.f1H == "lb" and x.f2H == "conflicts"
-        assert PlannerConfig.make("ecbs").effective_termination == "simple"

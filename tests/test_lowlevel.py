@@ -5,8 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path,
-                  strip_time)
+from mamp import ArmDomain, ArmSpec, Constraint, GridDomain, Path
 from mamp.core import ConstraintIndex
 from mamp.lowlevel import (FocalQueue, LLParams, push_partial_experience,
                            solve, suffix, try_insert_or_update)
@@ -58,7 +57,7 @@ class TestSolveExamples:
         blocked = [Constraint.vertex(0, first.path.waypoints[4], 4)]
         cold = solve(GridDomain(9, 9), 0, (0, 4), (8, 4), blocked, (), params)
         warm = solve(GridDomain(9, 9), 0, (0, 4), (8, 4), blocked,
-                     strip_time(first.path), params)
+                     first.path.waypoints, params)
         oracle = timed_optimal_cost(GridDomain(9, 9), 0, (0, 4), (8, 4),
                                     blocked, horizon=20)
         assert cold.success and warm.success
@@ -206,11 +205,12 @@ class TestPushPartialExperience:
         push_partial_experience(q, (A, C, B), root, move_ok)  # A->C jumps
         assert (C, 1) not in q.nodes and (B, 2) not in q.nodes
 
-    def test_path_aware_stops_at_other_agent_collision(self):
-        # other arm parks where the experience's second transition arrives
-        arms = [ArmSpec((0.0, 0.0), (1.0,), RES, ((-16, 16),)),
+    # the second arm parks where the experience's second transition arrives
+    TWO_ARMS = [ArmSpec((0.0, 0.0), (1.0,), RES, ((-16, 16),)),
                 ArmSpec((0.0, 1.55), (0.5,), RES, ((-16, 16),))]
-        d = ArmDomain(arms, thickness=0.04)
+
+    def test_path_aware_stops_at_other_agent_collision(self):
+        d = ArmDomain(self.TWO_ARMS, thickness=0.04)
         other = Path(((-8,),))  # hangs straight down to (0, 1.05)
         exp = ((6,), (7,), (8,))
         assert d.pairwise_collision(0, (8,), (8,), 1, (-8,), (-8,))
@@ -231,6 +231,17 @@ class TestPushPartialExperience:
             push_partial_experience(q, exp, root, move_ok)
             assert ((7,), 1) in q.nodes
             assert (((8,), 2) in q.nodes) == present
+
+    def test_solve_walk_stops_at_other_agents_iff_given_them(self):
+        # Given the other arm's path, the walk stops before (8,) and the
+        # search expands its way there; without it, the whole experience is
+        # walked and the goal is the first expansion.
+        exp = ((6,), (7,), (8,), (9,), (10,))
+        for others, expansions in (([(1, Path(((-8,),)))], 4), (None, 1)):
+            d = ArmDomain(self.TWO_ARMS, thickness=0.04)
+            r = solve(d, 0, (6,), (10,), (), exp, LLParams(w1=50.0),
+                      other_paths=others)
+            assert r.success and r.expansions == expansions
 
 
 class TestHeuristic:

@@ -20,6 +20,8 @@ agent start 0 0 goal 4 2
 agent start 4 0 goal 0 2
 """
 
+BIG = "1" + "0" * 400  # past the float range
+
 ARM_DOC = """domain arm
 thickness 0.05
 substeps 8
@@ -103,6 +105,12 @@ class TestParsing:
         (lambda d: d.replace("disc 1.2 0.4 0.15", "disc 1.2 inf 0.15"),
          "decimal 'inf'"),
         (lambda d: d.replace("base -1 0", "base -1 -nan"), "decimal '-nan'"),
+        (lambda d: d.replace("limits -16 16 -16 16", f"limits -{BIG} {BIG} "
+                             f"-{BIG} {BIG}", 1).replace("start 0 0", f"start {BIG} 0"),
+         "line 6: bad arm descriptor"),
+        (lambda d: d.replace("resolution 0.196349541 limits -16 16 -16 16",
+                             f"resolution 1e10 limits -{BIG[:301]} {BIG[:301]}"
+                             " -16 16", 1), "line 6: joint limits"),
     ])
     def test_arm_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
