@@ -231,9 +231,6 @@ class ConstraintIndex:
                 if c.config == c.to_config and c.time > self._last_wait.get(c.config, -1):
                     self._last_wait[c.config] = c.time
 
-    def __len__(self) -> int:
-        return len(self.vertices) + len(self.edges)
-
     def allows_state(self, q: Config, t: int) -> bool:
         return (q, t) not in self.vertices
 

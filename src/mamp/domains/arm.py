@@ -10,6 +10,7 @@ density (``substeps`` per joint step).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,21 +95,31 @@ def _pt_seg_dist2(p: Point, a: Point, b: Point) -> float:
     return dx * dx + dy * dy
 
 
-def forward_kinematics(arm: ArmSpec, q: Config) -> list[Point]:
-    """Joint positions of the chain (base excluded), with cumulative angles:
-    position i+1 = position i + L_i * (cos sum(theta), sin sum(theta))."""
-    for idx, (lo, hi) in zip(q, arm.limits):
-        if not lo <= idx <= hi:
-            raise ValueError(f"joint index {idx} outside limits [{lo}, {hi}]")
-    pts = []
+def _chain(arm: ArmSpec, thetas) -> tuple[Point, ...]:
+    """Capsule chain [base, joint1, ..., jointK] at the given joint angles:
+    joint i+1 = joint i + L_i * (cos sum(theta), sin sum(theta))."""
+    pts = [arm.base]
     x, y = arm.base
     acc = 0.0
-    for length, idx in zip(arm.link_lengths, q):
-        acc += idx * arm.resolution
+    for length, th in zip(arm.link_lengths, thetas):
+        acc += th
         x += length * math.cos(acc)
         y += length * math.sin(acc)
         pts.append((x, y))
-    return pts
+    return tuple(pts)
+
+
+def _span(q: Config, q2: Config) -> int:
+    """Largest single-joint step of the motion q -> q2, in lattice steps."""
+    return max(abs(a - b) for a, b in zip(q, q2)) if q != q2 else 0
+
+
+def forward_kinematics(arm: ArmSpec, q: Config) -> list[Point]:
+    """Joint positions of the chain at configuration q (base excluded)."""
+    for idx, (lo, hi) in zip(q, arm.limits):
+        if not lo <= idx <= hi:
+            raise ValueError(f"joint index {idx} outside limits [{lo}, {hi}]")
+    return list(_chain(arm, [idx * arm.resolution for idx in q])[1:])
 
 
 class ArmDomain(LatticeDomain):
@@ -122,7 +133,10 @@ class ArmDomain(LatticeDomain):
         self.thickness = thickness
         self.substeps = substeps
         self._fk_cache: dict[tuple[int, Config], tuple[Point, ...]] = {}
-        self._pair_reach_ok: dict[tuple[int, int], bool] = {}
+        # agent pairs i < j whose reach discs, grown by the capsule radius, overlap
+        pairs = itertools.combinations(enumerate(self.arms), 2)
+        self._near = {(i, j) for (i, a), (j, b) in pairs if math.dist(a.base, b.base)
+                      <= a.reach + b.reach + 2.0 * thickness}
 
     @property
     def num_agents(self) -> int:
@@ -135,23 +149,13 @@ class ArmDomain(LatticeDomain):
         return [idx * res for idx in q]
 
     def _chain_at_angles(self, agent: int, thetas) -> tuple[Point, ...]:
-        """Capsule chain [base, joint1, ..., jointK] at the given angles."""
-        arm = self.arms[agent]
-        pts = [arm.base]
-        x, y = arm.base
-        acc = 0.0
-        for length, th in zip(arm.link_lengths, thetas):
-            acc += th
-            x += length * math.cos(acc)
-            y += length * math.sin(acc)
-            pts.append((x, y))
-        return tuple(pts)
+        return _chain(self.arms[agent], thetas)
 
     def chain(self, agent: int, q: Config) -> tuple[Point, ...]:
         key = (agent, q)
         hit = self._fk_cache.get(key)
         if hit is None:
-            hit = self._chain_at_angles(agent, self._angles(agent, q))
+            hit = _chain(self.arms[agent], self._angles(agent, q))
             self._fk_cache[key] = hit
         return hit
 
@@ -187,34 +191,29 @@ class ArmDomain(LatticeDomain):
         self.stats.geometry_checks += 1
         return self._body_ok(self.chain(agent, q))
 
+    def _sweep(self, agent: int, q: Config, q2: Config, total: int):
+        """Chains of the joint-space interpolation q -> q2 at the interior
+        sub-steps k / total, 0 < k < total (the endpoints are vertex checks)."""
+        arm = self.arms[agent]
+        ta = self._angles(agent, q)
+        tb = self._angles(agent, q2)
+        for k in range(1, total):
+            s = k / total
+            yield _chain(arm, [a + (b - a) * s for a, b in zip(ta, tb)])
+
     def _check_edge(self, agent: int, q: Config, q2: Config) -> bool:
-        steps = max(abs(a - b) for a, b in zip(q, q2)) if q != q2 else 0
+        steps = _span(q, q2)
         if steps == 0:
             return self.is_state_valid(agent, q)
         if not (self.is_state_valid(agent, q) and self.is_state_valid(agent, q2)):
             return False
-        ta = self._angles(agent, q)
-        tb = self._angles(agent, q2)
-        total = self.substeps * steps
-        for k in range(1, total):
-            s = k / total
-            thetas = [a + (b - a) * s for a, b in zip(ta, tb)]
+        for chain in self._sweep(agent, q, q2, self.substeps * steps):
             self.stats.geometry_checks += 1
-            if not self._body_ok(self._chain_at_angles(agent, thetas)):
+            if not self._body_ok(chain):
                 return False
         return True
 
     # -- agent-agent geometry -------------------------------------------------
-
-    def _reach_overlaps(self, i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        hit = self._pair_reach_ok.get(key)
-        if hit is None:
-            ai, aj = self.arms[key[0]], self.arms[key[1]]
-            gap = math.dist(ai.base, aj.base)
-            hit = gap <= ai.reach + aj.reach + 2.0 * self.thickness
-            self._pair_reach_ok[key] = hit
-        return hit
 
     def _bodies_touch(self, chain_a, chain_b) -> bool:
         r2 = (2.0 * self.thickness) ** 2
@@ -226,22 +225,15 @@ class ArmDomain(LatticeDomain):
         return False
 
     def _check_pairwise(self, i, qi0, qi1, j, qj0, qj1) -> bool:
-        if not self._reach_overlaps(i, j):
+        if (i, j) not in self._near:  # pairwise_collision orders i < j
             return False
-        si = max(abs(a - b) for a, b in zip(qi0, qi1)) if qi0 != qi1 else 0
-        sj = max(abs(a - b) for a, b in zip(qj0, qj1)) if qj0 != qj1 else 0
-        if si == 0 and sj == 0:
+        steps = max(_span(qi0, qi1), _span(qj0, qj1))
+        if steps == 0:
             self.stats.geometry_checks += 1
             return self._bodies_touch(self.chain(i, qi0), self.chain(j, qj0))
-        ia = self._angles(i, qi0)
-        ib = self._angles(i, qi1)
-        ja = self._angles(j, qj0)
-        jb = self._angles(j, qj1)
-        total = self.substeps * max(si, sj)
-        for k in range(1, total):  # endpoints are vertex checks
-            s = k / total
-            ci = self._chain_at_angles(i, [a + (b - a) * s for a, b in zip(ia, ib)])
-            cj = self._chain_at_angles(j, [a + (b - a) * s for a, b in zip(ja, jb)])
+        total = self.substeps * steps
+        for ci, cj in zip(self._sweep(i, qi0, qi1, total),
+                          self._sweep(j, qj0, qj1, total)):
             self.stats.geometry_checks += 1
             if self._bodies_touch(ci, cj):
                 return True

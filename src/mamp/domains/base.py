@@ -147,6 +147,13 @@ class LatticeDomain:
         self._pair_memo[key] = out
         return out
 
+    def configs_collide(self, configs) -> bool:
+        """True iff two agents' bodies touch while each stands at its entry
+        of ``configs`` (tested pair by pair, i < j, in lexicographic order)."""
+        return any(self.pairwise_collision(i, configs[i], configs[i],
+                                           j, configs[j], configs[j])
+                   for i in range(len(configs)) for j in range(i + 1, len(configs)))
+
     def successor_configs(self, agent: int, q: Config) -> tuple[Config, ...]:
         """Statically valid motion primitives from q, plus the wait move,
         sorted lexicographically for determinism. Served from the successor
@@ -196,5 +203,7 @@ def get_successors(domain: LatticeDomain, agent: int, state: tuple[Config, int],
     q, t = state
     if horizon is not None and t + 1 > horizon:
         return []
-    return [(q2, t + 1) for q2 in domain.successor_configs(agent, q)
-            if constraints.allows_move(q, t, q2)]
+    configs = domain.successor_configs(agent, q)
+    if t > constraints.max_time:  # no constraint binds from here on
+        return [(q2, t + 1) for q2 in configs]
+    return [(q2, t + 1) for q2 in configs if constraints.allows_move(q, t, q2)]

@@ -37,7 +37,7 @@ from .domains.base import LatticeDomain
 from . import lowlevel
 from .lowlevel import LLParams
 
-VARIANTS = ("cbs", "bcbs", "ecbs", "xcbs", "xecbs", "pp", "coupled")
+VARIANTS = ("cbs", "bcbs", "ecbs", "xcbs", "xecbs", "pp")
 EPS = 1e-6  # tolerance of the certificate's bound check
 BRANCHING_LIMIT = 4096  # largest composite branching factor the oracle takes
 
@@ -74,7 +74,6 @@ class PlannerConfig:
             "cbs": ("w1L", "w2L", "wH"),
             "xcbs": ("w2L", "wH"),
             "pp": ("w2L", "wH"),
-            "coupled": ("w1L", "w2L", "wH"),
         }.get(self.variant, ())
         for name in fixed_unit:
             if getattr(self, name) != 1.0:
@@ -150,18 +149,12 @@ class CTQueue(lowlevel.FocalQueue):
     def __init__(self, wH: float, f1_mode: str, f2_mode: str):
         super().__init__(w2=wH, f2=f2_mode)
         self.f1_mode = f1_mode
-        self.value_is_f1 = f1_mode == "cost"
 
-    def _f1_key(self, n: CTNode):
-        return (n.lb_total if self.f1_mode == "lb" else float(n.cost), n.index)
-
-    def _value(self, n: CTNode) -> float:
-        return float(n.cost)
-
-    def _f2_key(self, n: CTNode):
-        if self.f2 == "conflicts":
-            return (len(n.conflicts), n.cost, n.index)
-        return (n.cost, n.index)
+    def _keys(self, n: CTNode):
+        f1 = n.lb_total if self.f1_mode == "lb" else float(n.cost)
+        f2 = (len(n.conflicts), n.cost, n.index) if self.f2 == "conflicts" \
+            else (n.cost, n.index)
+        return (f1, n.index), float(n.cost), f2
 
 
 def _check_instance(domain: LatticeDomain, starts, goals) -> tuple[list, list]:
@@ -173,13 +166,6 @@ def _check_instance(domain: LatticeDomain, starts, goals) -> tuple[list, list]:
     if declared is not None and declared != len(starts):
         raise ValueError("mismatched agent counts")
     return starts, goals
-
-
-def _starts_collide(domain: LatticeDomain, starts) -> bool:
-    """True iff two agents' bodies touch at their start configurations."""
-    return any(domain.pairwise_collision(i, starts[i], starts[i],
-                                         j, starts[j], starts[j])
-               for i, j in itertools.combinations(range(len(starts)), 2))
 
 
 def _ll_params(config: PlannerConfig) -> LLParams:
@@ -308,7 +294,7 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
                           collision_checks=domain.stats.geometry_checks - checks0,
                           wall_time=time.perf_counter() - t0, **kw)
 
-    if _starts_collide(domain, starts):
+    if domain.configs_collide(starts):
         return finish("infeasible")
     fixed: list[tuple[int, Path]] = []
     paths: dict[int, Path] = {}
@@ -366,7 +352,7 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
 
     start_cfg = tuple(starts)
     goal_cfg = tuple(goals)
-    if _starts_collide(domain, starts):
+    if domain.configs_collide(starts):
         return finish("infeasible")
     start_state = (start_cfg, (0,) * n)
     dist = {start_state: 0}
@@ -423,9 +409,6 @@ def run_planner(domain: LatticeDomain, starts, goals,
     """Dispatch a query to the configured planner variant."""
     if config.variant == "pp":
         return plan_prioritized(domain, starts, goals, config)
-    if config.variant == "coupled":
-        return plan_coupled_oracle(domain, starts, goals, config.horizon,
-                                   deadline=time.monotonic() + config.timeout)
     return plan(domain, starts, goals, config)
 
 

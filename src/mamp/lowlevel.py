@@ -19,10 +19,10 @@ against a read-only domain.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
 from .core import Config, ConstraintIndex, Constraint, Path
@@ -63,10 +63,10 @@ class LowLevelResult:
 class SearchNode:
     __slots__ = ("state", "g", "h", "f1", "cc", "parent", "in_open", "ver")
 
-    def __init__(self, state: State):
+    def __init__(self, state: State, h: float = 0.0):
         self.state = state
         self.g = INF
-        self.h = 0.0
+        self.h = h
         self.f1 = INF
         self.cc = 0
         self.parent: SearchNode | None = None
@@ -78,21 +78,18 @@ class FocalQueue:
     """OPEN/FOCAL queue with lazy-deletion heaps, shared by both search
     levels (the constraint tree subclasses it as ``highlevel.CTQueue``).
 
-    Three heaps: pending holds the open nodes not in FOCAL, ordered by their
-    membership value; FOCAL holds the admitted nodes, ordered by f2; OPEN
-    holds nodes ordered by f1: every open node, or only the admitted ones
-    while ``value_is_f1`` (pending then ranks the rest by f1 itself). A pop
-    admits every pending node whose value is within ``w2 * min f1`` and
-    demotes FOCAL nodes that a shrunken bound no longer covers, so focal
-    membership holds exactly at every extraction. If nothing is within the
-    bound (possible only when the value exceeds f1, as a CT node's cost can
-    exceed its LB), a second pass admits at the cheapest pending value when
-    w2 > 1; otherwise the min-f1 node is taken. Entries go stale when their
-    node closes or is re-keyed (``ver``). The key methods below are the low
-    level's: f1 = g + w1*h is also the value; f2 is f1 or the conflicts.
+    Three heaps: OPEN holds every open node, ordered by f1; FOCAL holds the
+    admitted nodes, ordered by f2; pending holds the open nodes not in
+    FOCAL, ordered by their membership value. A pop reads ``base``, the min
+    f1, off OPEN, admits every pending node whose value is within
+    ``w2 * base`` and demotes FOCAL nodes that a shrunken bound no longer
+    covers, so focal membership holds exactly at every extraction. If
+    nothing is within the bound (possible only when the value exceeds f1, as
+    a CT node's cost can exceed its LB), a second pass admits at the
+    cheapest pending value when w2 > 1; otherwise the min-f1 node is taken.
+    Entries go stale when their node closes or is re-keyed (``ver``). A
+    subclass supplies its own keys through ``_keys``.
     """
-
-    value_is_f1 = True
 
     def __init__(self, w1: float = 1.0, w2: float = 1.0, f2: str = "f1",
                  h_fn: Callable[[State], float] = lambda s: 0.0,
@@ -110,82 +107,74 @@ class FocalQueue:
         self._bound = -INF
         self._tick = 0             # heap tiebreaker; nodes are unorderable
 
-    def _f1_key(self, n):
-        return (n.f1, -n.g, n.state)
-
-    def _value(self, n) -> float:
-        return n.f1
-
-    def _f2_key(self, n):
+    def _keys(self, n):
+        """(OPEN key, membership value, FOCAL key) of a node; the low
+        level's: f1 = g + w1*h is also the value, f2 is f1 or the
+        conflicts."""
+        key = (n.f1, -n.g, n.state)
         if self.f2 == "conflicts":
-            return (n.cc, n.f1, n.state)
-        return (n.f1, -n.g, n.state)
+            return key, n.f1, (n.cc, n.f1, n.state)
+        return key, n.f1, key
 
-    def _push(self, heap: list, key, n) -> None:
-        self._tick += 1
-        heapq.heappush(heap, (key, n.ver, self._tick, n))
-
-    @staticmethod
-    def _top(heap: list):
-        """First live entry of ``heap`` after dropping stale ones, or None."""
-        while heap:
-            node = heap[0][3]
-            if node.in_open and node.ver == heap[0][1]:
-                return heap[0]
-            heapq.heappop(heap)
-        return None
-
-    def _admit(self, n) -> None:
-        if self.value_is_f1:
-            self._push(self._open, self._f1_key(n), n)
-        self._push(self._focal, self._f2_key(n), n)
+    # Heap entries are flat tuples: the key's fields, then ver, tick, node
+    # and, in FOCAL and pending, the other key, so that moving a node
+    # between the two swaps the keys without recomputing them.
 
     def insert(self, n) -> None:
         n.in_open = True
-        if not self.value_is_f1:
-            self._push(self._open, self._f1_key(n), n)
-        if self._value(n) <= self._bound:
-            self._admit(n)
+        f1_key, value, f2_key = self._keys(n)
+        self._tick = tick = self._tick + 1
+        tail = (n.ver, tick, n)
+        heappush(self._open, f1_key + tail)
+        if value <= self._bound:
+            heappush(self._focal, f2_key + tail + (value,))
         else:
-            self._push(self._pending, self._value(n), n)
+            heappush(self._pending, (value,) + tail + (f2_key,))
 
     def _pop_focal(self, bound: float):
         self._bound = bound
         pending, focal = self._pending, self._focal
-        while (entry := self._top(pending)) and entry[0] <= bound:
-            heapq.heappop(pending)
-            self._admit(entry[3])
-        while entry := self._top(focal):
-            heapq.heappop(focal)
-            node = entry[3]
-            if self._value(node) <= bound:
+        while pending:
+            value, ver, _, node, f2_key = pending[0]
+            if node.in_open and node.ver == ver and value > bound:
+                break
+            heappop(pending)
+            if node.in_open and node.ver == ver:
+                self._tick = tick = self._tick + 1
+                heappush(focal, f2_key + (ver, tick, node, value))
+        while focal:
+            entry = heappop(focal)
+            ver, node, value = entry[-4], entry[-2], entry[-1]
+            if not (node.in_open and node.ver == ver):
+                continue
+            if value <= bound:
                 return node
-            self._push(pending, self._value(node), node)  # bound shrank
+            self._tick = tick = self._tick + 1
+            heappush(pending, (value, ver, tick, node, entry[:-4]))  # bound shrank
         return None
 
     def pop(self):
         """Extract the min-f2 open node within the focal bound, recording the
         min f1 at extraction in ``base``; None when nothing is open."""
-        top = self._top(self._open)
-        base = top[0][0] if top else None
-        if self.value_is_f1:
-            waiting = self._top(self._pending)
-            if waiting and (base is None or waiting[0] < base):
-                base = waiting[0]
-        if base is None:
+        open_ = self._open
+        while open_:
+            top = open_[0]
+            if top[-1].in_open and top[-1].ver == top[-3]:
+                break
+            heappop(open_)
+        else:
             return None
-        self.base = base
-        node = self._pop_focal(self.w2 * base)
+        self.base = top[0]
+        node = self._pop_focal(self.w2 * self.base)
         if node is None:
             node = self._pop_focal(self._pending[0][0]) if self.w2 > 1.0 \
-                else heapq.heappop(self._open)[3]
+                else heappop(open_)[-1]
         node.in_open = False
         return node
 
     def push_root(self, state: State) -> SearchNode:
-        n = SearchNode(state)
+        n = SearchNode(state, self.h_fn(state))
         n.g = 0
-        n.h = self.h_fn(state)
         n.f1 = self.w1 * n.h
         self.nodes[state] = n
         self.insert(n)
@@ -203,9 +192,7 @@ def try_insert_or_update(queue: FocalQueue, parent: SearchNode,
     state if it was closed). Returns True iff something changed."""
     node = queue.nodes.get(state)
     if node is None:
-        node = SearchNode(state)
-        node.h = queue.h_fn(state)
-        queue.nodes[state] = node
+        node = queue.nodes[state] = SearchNode(state, queue.h_fn(state))
     g_new = parent.g + 1
     if node.g <= g_new:
         return False
@@ -299,17 +286,13 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
                 n += parked_after[min(t + 1, last + 1)]
             return n
 
-    def move_ok(q: Config, t: int, q2: Config) -> bool:
-        if t + 1 > horizon or not cidx.allows_move(q, t, q2):
-            return False
-        if not (domain.is_lattice_edge(agent, q, q2)
-                and domain.step_valid(agent, q, q2)):
-            return False
-        return not (hard_paths and hits(q, t, q2, first=True))
-
-    def exp_move_ok(q: Config, t: int, q2: Config) -> bool:
-        # the walk also stops at a step that hits another agent, if given
-        return move_ok(q, t, q2) and not hits(q, t, q2, first=True)
+    def walk_ok(q: Config, t: int, q2: Config) -> bool:
+        # the experience walk stops at a step the search could not take, or
+        # one that hits another agent, if given
+        return (t + 1 <= horizon and cidx.allows_move(q, t, q2)
+                and domain.is_lattice_edge(agent, q, q2)
+                and domain.step_valid(agent, q, q2)
+                and not hits(q, t, q2, first=True))
 
     def parked_clear(t: int) -> bool:
         # Parking at the goal from t on must hit nobody. The position at t
@@ -322,6 +305,7 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     h = functools.cache(lambda q: domain.heuristic(agent, q, goal))  # per solve
     queue = FocalQueue(params.w1, params.w2, params.f2, h_fn=lambda s: h(s[0]),
                        cc_fn=cc_fn)
+    nodes = queue.nodes
     expansions = 0
     trace: list[State] | None = [] if record_trace else None
 
@@ -335,7 +319,7 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     root = queue.push_root((start, 0))
     experience = tuple(tuple(c) for c in experience)
     members = frozenset(experience)
-    push_partial_experience(queue, experience, root, exp_move_ok)
+    push_partial_experience(queue, experience, root, walk_ok)
 
     while True:
         if deadline is not None and expansions % 64 == 0 and time.monotonic() > deadline:
@@ -360,8 +344,11 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
                                   domain.stats.geometry_checks - checks_before,
                                   "success", trace)
         if q in members:
-            push_partial_experience(queue, experience, node, exp_move_ok)
+            push_partial_experience(queue, experience, node, walk_ok)
+        g1 = node.g + 1
         for s2 in get_successors(domain, agent, node.state, cidx, horizon):
             if hard_paths and hits(q, t, s2[0], first=True):
                 continue
-            try_insert_or_update(queue, node, s2)
+            seen = nodes.get(s2)
+            if seen is None or seen.g > g1:  # else the relaxation is a no-op
+                try_insert_or_update(queue, node, s2)

@@ -125,6 +125,8 @@ def _parse_arm(parts: list[str], ln: int) -> ArmSpec:
         raise SceneError(f"line {ln}: joint limits times resolution must be finite")
     if not links:
         raise SceneError(f"line {ln}: an arm needs at least one link")
+    if not all(v > 0 for v in links):
+        raise SceneError(f"line {ln}: link lengths must be positive")
     if not resolution > 0:
         raise SceneError(f"line {ln}: resolution must be positive")
     if len(raw_limits) != 2 * len(links):
@@ -178,6 +180,8 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
                 if shape == "segment" and len(nums) == 4:
                     obstacles.append(Segment(*nums))
                 elif shape == "disc" and len(nums) == 3:
+                    if nums[2] < 0:
+                        raise SceneError(f"line {ln}: disc radius must be >= 0")
                     obstacles.append(Disc(*nums))
                 else:
                     raise SceneError(f"line {ln}: obstacle must be 'segment x1 y1 x2 y2'"

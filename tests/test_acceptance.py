@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single PASS/FAIL line (run with -s to see them live).
-The two long-running checks are marked slow; the full suite runs them.
+The three long-running checks are marked slow; the full suite runs them.
 """
 
 import itertools

@@ -261,8 +261,13 @@ class TestCli:
         ("circle-arms:resolution=inf", "resolution"),
         ("circle-arms:thickness=nan", "thickness"),
         ("circle-arms:n=2,thickness=-1", "thickness"),
+        ("circle-arms:link_length=-1", "link_length"),
+        ("corridor-grid:obstacle_p=nan", "obstacle_p"),
+        ("circle-arms:radius=nan", "radius"),
+        ("circle-arms:radius=inf", "radius"),
     ], ids=["unknown-key", "links-0", "links-negative", "resolution-0",
-            "resolution-inf", "thickness-nan", "thickness-negative"])
+            "resolution-inf", "thickness-nan", "thickness-negative",
+            "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf"])
     def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
         out = tmp_path / "out.csv"
         assert main(["--generate", generate, "--planners", "cbs",

@@ -128,6 +128,16 @@ class TestArmKinematics:
         with pytest.raises(ValueError, match="limits"):
             forward_kinematics(self._arm(1.0), (17,))
 
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_matches_the_planning_chain(self, data):
+        arms = [ArmSpec((0.5, -0.25), (0.4, 0.3, 0.2), RES, ((-16, 16),) * 3),
+                ArmSpec((-1.0, 0.7), (0.6,), RES, ((-8, 8),))]
+        domain = ArmDomain(arms)
+        for i, arm in enumerate(arms):
+            q = tuple(data.draw(st.integers(lo, hi)) for lo, hi in arm.limits)
+            assert forward_kinematics(arm, q) == list(domain.chain(i, q)[1:])
+
     @given(st.lists(st.integers(-16, 16), min_size=1, max_size=4))
     @settings(max_examples=80)
     def test_reach_never_exceeds_total_length(self, q):

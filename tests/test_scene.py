@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mamp import GridDomain, SceneError, generate_scene, parse_scene, serialize_scene
+from mamp import (Disc, GridDomain, SceneError, generate_scene, parse_scene,
+                  serialize_scene)
 from mamp.scene import Scene, format_decimal, quantize
 
 from mutations import mutated
@@ -21,6 +22,23 @@ agent start 4 0 goal 0 2
 """
 
 BIG = "1" + "0" * 400  # past the float range
+
+# Two overlapping one-link arms; a negative length made their reach negative,
+# so the pair test reported no contact.
+NEGATIVE_LINK_DOC = """domain arm
+arm base 0 0 links -0.5 resolution 0.196349541 limits -16 16
+arm base 0.3 0 links -0.5 resolution 0.196349541 limits -16 16
+agent start 0 goal 0
+agent start 0 goal 0
+"""
+
+# A negative radius acted as a disc of radius |thickness + r|, here one that
+# blocks every configuration of the arm.
+NEGATIVE_DISC_DOC = """domain arm
+obstacle disc 0.5 0.5 -1
+arm base 0 0 links 0.5 resolution 0.196349541 limits -16 16
+agent start 0 goal 1
+"""
 
 ARM_DOC = """domain arm
 thickness 0.05
@@ -111,6 +129,8 @@ class TestParsing:
         (lambda d: d.replace("resolution 0.196349541 limits -16 16 -16 16",
                              f"resolution 1e10 limits -{BIG[:301]} {BIG[:301]}"
                              " -16 16", 1), "line 6: joint limits"),
+        (lambda d: NEGATIVE_LINK_DOC, "line 2: link lengths must be positive"),
+        (lambda d: NEGATIVE_DISC_DOC, "line 2: disc radius must be >= 0"),
     ])
     def test_arm_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
@@ -155,6 +175,8 @@ class TestParserFuzz:
         assert all(math.isfinite(v) for v in decimals)
         assert scene.thickness >= 0 and scene.substeps >= 1
         assert all(arm.resolution > 0 for arm in scene.arms)
+        assert all(v > 0 for arm in scene.arms for v in arm.link_lengths)
+        assert all(ob.r >= 0 for ob in scene.obstacles if isinstance(ob, Disc))
 
 
 class TestGenerators:
