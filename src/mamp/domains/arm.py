@@ -6,6 +6,12 @@ primitives rotate exactly one joint by one lattice step (or wait). Links
 are capsules of a shared radius (``thickness``); validity of a motion is
 decided by sampling interpolated configurations at a declared sub-step
 density (``substeps`` per joint step).
+
+A pair of moving arms is tested by conservative advancement: each evaluated
+sub-step yields the clearance between the two bodies, and the sub-steps
+that the bodies cannot close that clearance within are skipped. The
+verdict is the sampler's; ``geometry_checks`` counts only the evaluated
+sub-steps.
 """
 
 from __future__ import annotations
@@ -26,6 +32,12 @@ class ArmSpec:
     link_lengths: tuple[float, ...]
     resolution: float
     limits: tuple[tuple[int, int], ...]  # inclusive index range per joint
+
+    def __post_init__(self):
+        if not all(0 < v < math.inf for v in self.link_lengths):
+            raise ValueError(f"link lengths {self.link_lengths} must be positive and finite")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError(f"resolution {self.resolution} must be positive and finite")
 
     @property
     def reach(self) -> float:
@@ -95,6 +107,21 @@ def _pt_seg_dist2(p: Point, a: Point, b: Point) -> float:
     return dx * dx + dy * dy
 
 
+def _min_dist2(chain_a, chain_b, stop: float) -> float:
+    """Least squared distance between the links of two chains, returned as
+    soon as one link pair is within ``stop``."""
+    best = math.inf
+    for a in range(len(chain_a) - 1):
+        p1, q1 = chain_a[a], chain_a[a + 1]
+        for b in range(len(chain_b) - 1):
+            d2 = _seg_seg_dist2(p1, q1, chain_b[b], chain_b[b + 1])
+            if d2 < best:
+                if d2 <= stop:
+                    return d2
+                best = d2
+    return best
+
+
 def _chain(arm: ArmSpec, thetas) -> tuple[Point, ...]:
     """Capsule chain [base, joint1, ..., jointK] at the given joint angles:
     joint i+1 = joint i + L_i * (cos sum(theta), sin sum(theta))."""
@@ -127,6 +154,10 @@ class ArmDomain(LatticeDomain):
 
     def __init__(self, arms: list[ArmSpec], obstacles=(), thickness: float = 0.04,
                  substeps: int = 8, cache: bool = True):
+        if not 0 <= thickness < math.inf:
+            raise ValueError(f"thickness {thickness} must be finite and >= 0")
+        if substeps < 1:
+            raise ValueError(f"substeps {substeps} must be >= 1")
         super().__init__(cache)
         self.arms = list(arms)
         self.obstacles = list(obstacles)
@@ -191,15 +222,21 @@ class ArmDomain(LatticeDomain):
         self.stats.geometry_checks += 1
         return self._body_ok(self.chain(agent, q))
 
-    def _sweep(self, agent: int, q: Config, q2: Config, total: int):
-        """Chains of the joint-space interpolation q -> q2 at the interior
-        sub-steps k / total, 0 < k < total (the endpoints are vertex checks)."""
-        arm = self.arms[agent]
-        ta = self._angles(agent, q)
-        tb = self._angles(agent, q2)
-        for k in range(1, total):
-            s = k / total
-            yield _chain(arm, [a + (b - a) * s for a, b in zip(ta, tb)])
+    def _lerp(self, agent: int, q: Config, q2: Config):
+        """Chain of the joint-space interpolation q -> q2 at fraction s."""
+        arm, ta, tb = self.arms[agent], self._angles(agent, q), self._angles(agent, q2)
+        return lambda s: _chain(arm, [a + (b - a) * s for a, b in zip(ta, tb)])
+
+    def _travel(self, agent: int, q: Config, q2: Config) -> float:
+        """Bound on how far any body point moves over the interpolation
+        q -> q2: the sum over links of length times the change of the link's
+        absolute angle (the prefix sum of the joint changes)."""
+        turn = out = 0.0
+        for length, a, b in zip(self.arms[agent].link_lengths,
+                                self._angles(agent, q), self._angles(agent, q2)):
+            turn += b - a
+            out += length * abs(turn)
+        return out
 
     def _check_edge(self, agent: int, q: Config, q2: Config) -> bool:
         steps = _span(q, q2)
@@ -207,36 +244,39 @@ class ArmDomain(LatticeDomain):
             return self.is_state_valid(agent, q)
         if not (self.is_state_valid(agent, q) and self.is_state_valid(agent, q2)):
             return False
-        for chain in self._sweep(agent, q, q2, self.substeps * steps):
+        total = self.substeps * steps
+        at = self._lerp(agent, q, q2)
+        for k in range(1, total):  # the endpoints are vertex checks
             self.stats.geometry_checks += 1
-            if not self._body_ok(chain):
+            if not self._body_ok(at(k / total)):
                 return False
         return True
 
     # -- agent-agent geometry -------------------------------------------------
 
-    def _bodies_touch(self, chain_a, chain_b) -> bool:
-        r2 = (2.0 * self.thickness) ** 2
-        for a in range(len(chain_a) - 1):
-            p1, q1 = chain_a[a], chain_a[a + 1]
-            for b in range(len(chain_b) - 1):
-                if _seg_seg_dist2(p1, q1, chain_b[b], chain_b[b + 1]) <= r2:
-                    return True
-        return False
-
     def _check_pairwise(self, i, qi0, qi1, j, qj0, qj1) -> bool:
         if (i, j) not in self._near:  # pairwise_collision orders i < j
             return False
+        r = 2.0 * self.thickness
+        r2 = r ** 2
         steps = max(_span(qi0, qi1), _span(qj0, qj1))
         if steps == 0:
             self.stats.geometry_checks += 1
-            return self._bodies_touch(self.chain(i, qi0), self.chain(j, qj0))
+            return _min_dist2(self.chain(i, qi0), self.chain(j, qj0), r2) <= r2
+        # conservative advancement: no body point moves more than `per` per
+        # sub-step, so the sub-steps within the clearance of one stay clear
         total = self.substeps * steps
-        for ci, cj in zip(self._sweep(i, qi0, qi1, total),
-                          self._sweep(j, qj0, qj1, total)):
+        per = (self._travel(i, qi0, qi1) + self._travel(j, qj0, qj1)) / total
+        at_i, at_j = self._lerp(i, qi0, qi1), self._lerp(j, qj0, qj1)
+        k = 1
+        while k < total:
             self.stats.geometry_checks += 1
-            if self._bodies_touch(ci, cj):
+            s = k / total
+            d2 = _min_dist2(at_i(s), at_j(s), r2)
+            if d2 <= r2:
                 return True
+            clear = (math.sqrt(d2) - r - 1e-9) / per  # sub-steps that stay clear
+            k += 1 + int(min(max(clear, 0.0), total))
         return False
 
     # -- lattice structure ------------------------------------------------------

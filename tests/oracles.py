@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 
 from mamp.core import ConstraintIndex, step_collides
+from mamp.domains.arm import _seg_seg_dist2
 
 
 def grid_bfs_cost(domain, start, goal):
@@ -219,6 +220,27 @@ def dense_edge_valid(domain, agent, q, q2, factor=100):
         if not domain._body_ok(domain._chain_at_angles(agent, thetas)):
             return False
     return True
+
+
+def sampled_pair_collision(domain, i, qi0, qi1, j, qj0, qj1):
+    """Arm pair verdict of the plain sampler: some link pair of the two
+    bodies is within twice the capsule radius at an interior sub-step
+    k / total of the synchronized motion, or at the poses themselves when
+    neither arm moves."""
+    r2 = (2.0 * domain.thickness) ** 2
+    steps = max(abs(a - b) for a, b in zip(qi0 + qj0, qi1 + qj1))
+    total = domain.substeps * steps
+    fractions = [k / total for k in range(1, total)] if steps else [0.0]
+    ends = [(agent, domain._angles(agent, q), domain._angles(agent, q2))
+            for agent, q, q2 in ((i, qi0, qi1), (j, qj0, qj1))]
+    for s in fractions:
+        ci, cj = (domain._chain_at_angles(agent, [a + (b - a) * s
+                                                  for a, b in zip(ta, tb)])
+                  for agent, ta, tb in ends)
+        if any(_seg_seg_dist2(ci[a], ci[a + 1], cj[b], cj[b + 1]) <= r2
+               for a in range(len(ci) - 1) for b in range(len(cj) - 1)):
+            return True
+    return False
 
 
 def enumerate_timed_paths(domain, agent, start, length):

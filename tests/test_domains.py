@@ -10,7 +10,7 @@ from mamp.core import ConstraintIndex
 from mamp.domains.base import LatticeDomain
 
 from corpus import one_joint_arm, two_link_arm_pair
-from oracles import dense_edge_valid, step_conflicts
+from oracles import dense_edge_valid, sampled_pair_collision, step_conflicts
 
 RES = math.pi / 16
 
@@ -152,6 +152,25 @@ class TestArmKinematics:
             assert dist < sum(lengths) - 1e-12
 
 
+class TestArmInputs:
+    @pytest.mark.parametrize("lengths,res", [
+        ((-0.5,), RES), ((0.0,), RES), ((0.5, math.inf), RES), ((math.nan,), RES),
+        ((0.5,), 0.0), ((0.5,), -RES), ((0.5,), math.nan), ((0.5,), math.inf),
+    ])
+    def test_bad_spec_raises(self, lengths, res):
+        with pytest.raises(ValueError):
+            ArmSpec((0.0, 0.0), lengths, res, ((-16, 16),) * len(lengths))
+
+    @pytest.mark.parametrize("kw", [
+        dict(thickness=-0.01), dict(thickness=math.nan), dict(thickness=math.inf),
+        dict(substeps=0), dict(substeps=-8),
+    ])
+    def test_bad_domain_raises(self, kw):
+        arm = ArmSpec((0.0, 0.0), (1.0,), RES, ((-16, 16),))
+        with pytest.raises(ValueError):
+            ArmDomain([arm], **kw)
+
+
 class TestArmValidity:
     def test_free_space_is_valid(self):
         d = one_joint_arm()
@@ -271,6 +290,37 @@ class TestPairwise:
         assert not d.pairwise_collision(0, q0, q0, 1, a, a)
         assert not d.pairwise_collision(0, q0, q0, 1, b, b)
         assert d.pairwise_collision(0, q0, q0, 1, a, b)
+
+    def test_far_apart_moving_pair_costs_one_check(self):
+        d = two_link_arm_pair(gap=1.7)  # reach discs overlap; arms point apart
+        before = d.stats.geometry_checks
+        assert not d.pairwise_collision(0, (16, 0), (15, 2), 1, (0, 0), (1, 0))
+        assert d.stats.geometry_checks - before == 1
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sampler(self, data):
+        arms = []
+        for base in ((0.0, 0.0), (data.draw(st.floats(0.0, 1.5)),
+                                  data.draw(st.floats(-0.8, 0.8)))):
+            lengths = data.draw(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3))
+            arms.append(ArmSpec(base, tuple(lengths), RES, ((-16, 16),) * len(lengths)))
+        d = ArmDomain(arms, thickness=data.draw(st.sampled_from((0.0, 0.01, 0.02, 0.04))),
+                      substeps=data.draw(st.integers(1, 8)))
+        rng = data.draw(st.randoms(use_true_random=True))
+        for _ in range(20):
+            move = []
+            for arm in arms:
+                q = [rng.randint(-12, 12) for _ in arm.link_lengths]
+                q2 = list(q)
+                kind = rng.choice(("wait", "single-joint", "multi-joint"))
+                if kind == "single-joint":
+                    q2[rng.randrange(len(q))] += rng.randint(-8, 8)
+                elif kind == "multi-joint":
+                    q2 = [v + rng.randint(-8, 8) for v in q]
+                move += [tuple(q), tuple(q2)]
+            assert d._check_pairwise(0, *move[:2], 1, *move[2:]) == \
+                sampled_pair_collision(d, 0, *move[:2], 1, *move[2:]), move
 
     def test_grid_same_cell_and_swap(self):
         g = GridDomain(3, 1)
