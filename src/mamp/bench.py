@@ -30,6 +30,7 @@ CSV_HEADER = ("scene", "planner", "trial", "success", "time_s", "cost_steps",
               "cost_rad_post")
 
 GENERATOR_KINDS = ("circle-arms", "corridor-grid", "shelf-lite")
+SAMPLE_RETRIES = 60  # scene draws a generator tries before giving up
 
 
 def default_paper_params(timeout: float = 60.0) -> dict[str, PlannerConfig]:
@@ -115,8 +116,8 @@ def _grid_reachable(rows: list[str], start, goal) -> bool:
 
 
 def _corridor_grid(rng: random.Random, n: int, width: int, height: int,
-                   obstacle_p: float, retries: int) -> Scene:
-    for _ in range(retries):
+                   obstacle_p: float) -> Scene:
+    for _ in range(SAMPLE_RETRIES):
         rows = ["".join("#" if rng.random() < obstacle_p else "."
                         for _ in range(width)) for _ in range(height)]
         free = [(x, y) for y in range(height) for x in range(width)
@@ -183,8 +184,7 @@ def _sample_goal(rng: random.Random, domain, agent: int, start, walk: int,
 
 def _arm_scene(rng: random.Random, bases, obstacles, links: int,
                link_length: float, resolution: float, thickness: float,
-               walk: int, retries: int, attract_for=None,
-               facing_for=None) -> Scene:
+               walk: int, attract_for=None, facing_for=None) -> Scene:
     limit = 16
     arms = tuple(ArmSpec(base, (quantize(link_length),) * links,
                          quantize(resolution), ((-limit, limit),) * links)
@@ -192,7 +192,7 @@ def _arm_scene(rng: random.Random, bases, obstacles, links: int,
     scene = Scene("arm", arms=arms, obstacles=tuple(obstacles),
                   thickness=quantize(thickness), substeps=8)
     domain = scene.build_domain()
-    for _ in range(retries):
+    for _ in range(SAMPLE_RETRIES):
         starts, goals = [], []
         ok = True
         for agent, base in enumerate(bases):
@@ -219,7 +219,7 @@ def _arm_scene(rng: random.Random, bases, obstacles, links: int,
 
 def _circle_arms(rng: random.Random, n: int, obstacle, links: int,
                  link_length: float, resolution: float, thickness: float,
-                 radius: float | None, walk: int, retries: int) -> Scene:
+                 radius: float | None, walk: int) -> Scene:
     if radius is None:
         # keep neighbor spacing roughly constant as the circle fills up
         radius = max(1.0, 0.35 * n)
@@ -235,14 +235,13 @@ def _circle_arms(rng: random.Random, n: int, obstacle, links: int,
     # Attract goal tips toward the rim of the shared region (halfway to the
     # circle center): transient crossings, not permanent center occupation.
     return _arm_scene(rng, bases, obstacles, links, link_length,
-                      resolution, thickness, walk, retries,
+                      resolution, thickness, walk,
                       attract_for=lambda agent: (bases[agent][0] * 0.45,
                                                  bases[agent][1] * 0.45))
 
 
 def _shelf_lite(rng: random.Random, n: int, links: int, link_length: float,
-                resolution: float, thickness: float, walk: int,
-                retries: int) -> Scene:
+                resolution: float, thickness: float, walk: int) -> Scene:
     spacing = 0.9
     bases = [(quantize((k - (n - 1) / 2.0) * spacing), 0.0) for k in range(n)]
     wall_y = quantize(links * link_length * 0.85)
@@ -256,7 +255,7 @@ def _shelf_lite(rng: random.Random, n: int, links: int, link_length: float,
             obstacles.append(Segment(seg_a, wall_y, seg_b, wall_y))
     slots = [(bx, wall_y) for bx, _ in bases]
     return _arm_scene(rng, bases, obstacles, links, link_length,
-                      resolution, thickness, walk, retries,
+                      resolution, thickness, walk,
                       attract_for=lambda agent: slots[(agent + 1) % n],
                       facing_for=lambda agent: math.pi / 2)  # toward the wall
 
@@ -265,8 +264,7 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
                    links: int = 3, link_length: float = 0.4,
                    resolution: float = math.pi / 16, thickness: float = 0.04,
                    radius: float | None = None, walk: int = 10, width: int = 8,
-                   height: int = 8, obstacle_p: float = 0.18,
-                   retries: int = 60) -> str:
+                   height: int = 8, obstacle_p: float = 0.18) -> str:
     """Deterministic scene document for the given generator kind and seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -285,12 +283,11 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
     rng = random.Random(seed)
     if kind == "circle-arms":
         scene = _circle_arms(rng, n, obstacle, links, link_length, resolution,
-                             thickness, radius, walk, retries)
+                             thickness, radius, walk)
     elif kind == "corridor-grid":
-        scene = _corridor_grid(rng, n, width, height, obstacle_p, retries)
+        scene = _corridor_grid(rng, n, width, height, obstacle_p)
     elif kind == "shelf-lite":
-        scene = _shelf_lite(rng, n, links, link_length, resolution, thickness,
-                            walk, retries)
+        scene = _shelf_lite(rng, n, links, link_length, resolution, thickness, walk)
     else:
         raise ValueError(f"unknown scene kind {kind!r}; expected one of "
                          f"{', '.join(GENERATOR_KINDS)}")
@@ -298,6 +295,8 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
 
 
 _GENERATOR_KEYS = frozenset(inspect.signature(generate_scene).parameters) - {"kind"}
+_OBSTACLE_VALUES = {"auto": "auto", "true": True, "yes": True, "1": True,
+                    "false": False, "no": False, "0": False}
 
 
 def parse_generate_spec(spec: str) -> tuple[str, dict]:
@@ -315,7 +314,10 @@ def parse_generate_spec(spec: str) -> tuple[str, dict]:
             if key not in _GENERATOR_KEYS:
                 raise ValueError(f"unknown generator parameter {key!r}")
             if key == "obstacle":
-                params[key] = value if value == "auto" else value in ("1", "true", "yes")
+                if value not in _OBSTACLE_VALUES:
+                    raise ValueError(f"obstacle must be one of "
+                                     f"{', '.join(_OBSTACLE_VALUES)}, not {value!r}")
+                params[key] = _OBSTACLE_VALUES[value]
             elif key in ("link_length", "resolution", "thickness", "radius",
                          "obstacle_p"):
                 params[key] = float(value)

@@ -179,9 +179,6 @@ class ArmDomain(LatticeDomain):
         res = self.arms[agent].resolution
         return [idx * res for idx in q]
 
-    def _chain_at_angles(self, agent: int, thetas) -> tuple[Point, ...]:
-        return _chain(self.arms[agent], thetas)
-
     def chain(self, agent: int, q: Config) -> tuple[Point, ...]:
         key = (agent, q)
         hit = self._fk_cache.get(key)

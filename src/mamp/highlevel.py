@@ -17,6 +17,11 @@ Both levels run the same focal search: CT nodes go through
 `plan_coupled_oracle` searches the composite space exhaustively; it is exact
 and only meant for desk-scale cross-checking.
 
+`plan`, `plan_prioritized` and `plan_coupled_oracle` share one query frame
+(`_Query`). A query whose starts or goals put two agents' bodies in contact
+ends `infeasible` before any search: agents park at their goals for good,
+so colliding goals are never reached.
+
 A planning query runs single-threaded over its own queues; domains are
 read-only during a query apart from their counters and memo tables.
 """
@@ -157,20 +162,34 @@ class CTQueue(lowlevel.FocalQueue):
         return (f1, n.index), float(n.cost), f2
 
 
-def _check_instance(domain: LatticeDomain, starts, goals) -> tuple[list, list]:
-    starts = [tuple(s) for s in starts]
-    goals = [tuple(g) for g in goals]
-    if len(starts) != len(goals):
-        raise ValueError("mismatched agent counts")
-    declared = getattr(domain, "num_agents", None)
-    if declared is not None and declared != len(starts):
-        raise ValueError("mismatched agent counts")
-    return starts, goals
+class _Query:
+    """Frame of one planning query: the normalised instance, the clock and
+    deadline, the geometry-counter snapshot and the low-level tally."""
 
+    def __init__(self, domain: LatticeDomain, starts, goals, variant: str,
+                 deadline: float | None):
+        self.starts = [tuple(s) for s in starts]
+        self.goals = [tuple(g) for g in goals]
+        self.n = len(self.starts)
+        if len(self.goals) != self.n or getattr(domain, "num_agents", self.n) != self.n:
+            raise ValueError("mismatched agent counts")
+        self.domain, self.variant, self.deadline = domain, variant, deadline
+        self.ll_expansions = 0
+        self.t0 = time.perf_counter()
+        self.checks0 = domain.stats.geometry_checks
 
-def _ll_params(config: PlannerConfig) -> LLParams:
-    return LLParams(w1=config.w1L, w2=config.w2L, f2=config.f2L,
-                    horizon=config.horizon)
+    def clash(self) -> bool:
+        """Two agents' bodies touch at the starts or at the goals."""
+        return any(map(self.domain.configs_collide, (self.starts, self.goals)))
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def end(self, status: str, **kw) -> PlanResult:
+        checks = self.domain.stats.geometry_checks - self.checks0
+        return PlanResult(self.variant, status, ll_expansions=self.ll_expansions,
+                          collision_checks=checks,
+                          wall_time=time.perf_counter() - self.t0, **kw)
 
 
 def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
@@ -217,29 +236,23 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
 def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanResult:
     """Constraint-tree search; returns a conflict-free solution whose cost is
     within w1L*w2L*wH of the optimal sum of costs, or a failure result on
-    timeout / exhaustion."""
-    starts, goals = _check_instance(domain, starts, goals)
-    t0 = time.perf_counter()
-    deadline = time.monotonic() + config.timeout
-    checks0 = domain.stats.geometry_checks
-    llp = _ll_params(config)
-    n = len(starts)
-    ll_total = 0
-
-    def finish(status, **kw) -> PlanResult:
-        return PlanResult(config.variant, status, ll_expansions=ll_total,
-                          collision_checks=domain.stats.geometry_checks - checks0,
-                          wall_time=time.perf_counter() - t0, **kw)
-
+    colliding starts or goals, timeout or exhaustion."""
+    query = _Query(domain, starts, goals, config.variant,
+                   time.monotonic() + config.timeout)
+    if query.clash():
+        return query.end("infeasible")
+    starts, goals, deadline = query.starts, query.goals, query.deadline
+    llp = LLParams(w1=config.w1L, w2=config.w2L, f2=config.f2L,
+                   horizon=config.horizon)
     paths, lbs = [], []
-    for i in range(n):
+    for i in range(query.n):
         res = lowlevel.solve(domain, i, starts[i], goals[i], (), (), llp,
                              deadline=deadline)
-        ll_total += res.expansions
+        query.ll_expansions += res.expansions
         if res.status == "timeout":
-            return finish("timeout")
+            return query.end("timeout")
         if not res.success:
-            return finish("infeasible")
+            return query.end("infeasible")
         paths.append(res.path)
         lbs.append(res.lower_bound)
 
@@ -252,21 +265,22 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     ct_expansions = 0
 
     while True:
-        if time.monotonic() > deadline:
-            return finish("timeout", ct_expansions=ct_expansions)
+        if query.expired():
+            return query.end("timeout", ct_expansions=ct_expansions)
         node = queue.pop()
         if node is None:
-            return finish("exhausted", ct_expansions=ct_expansions)
+            return query.end("exhausted", ct_expansions=ct_expansions)
         if not node.conflicts:
-            return finish("success", solution=Solution(node.paths), cost=node.cost,
-                          lb=queue.base, ct_expansions=ct_expansions,
-                          constraints=node.constraints)
+            return query.end("success", solution=Solution(node.paths),
+                             cost=node.cost, lb=queue.base,
+                             ct_expansions=ct_expansions,
+                             constraints=node.constraints)
         ct_expansions += 1
         children, ll_exp, timed_out = expand_ct_node(
             domain, node, starts, goals, config, llp, deadline, indexer)
-        ll_total += ll_exp
+        query.ll_expansions += ll_exp
         if timed_out:
-            return finish("timeout", ct_expansions=ct_expansions)
+            return query.end("timeout", ct_expansions=ct_expansions)
         for child in children:
             queue.insert(child)
 
@@ -275,27 +289,18 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
                      config: PlannerConfig | None = None,
                      order: Sequence[int] | None = None) -> PlanResult:
     """Sequential baseline: agents plan in priority order and treat earlier
-    agents' paths as hard moving obstacles. Colliding starts, or failure of
-    any agent, fail the whole query (incomplete by design)."""
+    agents' paths as hard moving obstacles. Colliding starts or goals, or
+    failure of any agent, fail the whole query (incomplete by design)."""
     if config is None:
         config = PlannerConfig.make("pp")
-    starts, goals = _check_instance(domain, starts, goals)
-    n = len(starts)
-    order = tuple(order) if order is not None else tuple(range(n))
-    if sorted(order) != list(range(n)):
+    query = _Query(domain, starts, goals, config.variant,
+                   time.monotonic() + config.timeout)
+    order = tuple(order) if order is not None else tuple(range(query.n))
+    if sorted(order) != list(range(query.n)):
         raise ValueError("order must be a permutation of the agents")
-    t0 = time.perf_counter()
-    deadline = time.monotonic() + config.timeout
-    checks0 = domain.stats.geometry_checks
-    ll_total = 0
-
-    def finish(status, **kw) -> PlanResult:
-        return PlanResult(config.variant, status, ll_expansions=ll_total,
-                          collision_checks=domain.stats.geometry_checks - checks0,
-                          wall_time=time.perf_counter() - t0, **kw)
-
-    if domain.configs_collide(starts):
-        return finish("infeasible")
+    if query.clash():
+        return query.end("infeasible")
+    starts, goals, deadline = query.starts, query.goals, query.deadline
     fixed: list[tuple[int, Path]] = []
     paths: dict[int, Path] = {}
     for agent in order:
@@ -306,14 +311,14 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
         res = lowlevel.solve(domain, agent, starts[agent], goals[agent], (), (),
                              llp, other_paths=fixed, hard_paths=True,
                              deadline=deadline)
-        ll_total += res.expansions
+        query.ll_expansions += res.expansions
         if not res.success:
-            return finish("timeout" if res.status == "timeout" else "infeasible")
+            return query.end("timeout" if res.status == "timeout" else "infeasible")
         fixed.append((agent, res.path))
         paths[agent] = res.path
-    solution = Solution(tuple(paths[i] for i in range(n)))
-    return finish("success", solution=solution, cost=solution.sum_of_costs,
-                  constraints=frozenset())
+    solution = Solution(tuple(paths[i] for i in range(query.n)))
+    return query.end("success", solution=solution,
+                     cost=solution.sum_of_costs, constraints=frozenset())
 
 
 def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
@@ -327,10 +332,8 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
     waits at the goal are free until the agent leaves, at which point the
     streak is charged retroactively, which makes g the exact sum of costs.
     """
-    starts, goals = _check_instance(domain, starts, goals)
-    n = len(starts)
-    t0 = time.perf_counter()
-    checks0 = domain.stats.geometry_checks
+    query = _Query(domain, starts, goals, "coupled", deadline)
+    starts, goals, n = query.starts, query.goals, query.n
     for i in range(n):
         if not domain.is_state_valid(i, starts[i]) or not domain.is_state_valid(i, goals[i]):
             raise ValueError("invalid endpoint")
@@ -339,22 +342,16 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
         branching *= domain.max_degree(i)
     if branching > BRANCHING_LIMIT:
         raise OracleGuardError("oracle guard exceeded")
+    if query.clash():
+        return query.end("infeasible")
     horizon = 64 if horizon is None else horizon
-
-    def finish(status, **kw):
-        return PlanResult("coupled", status,
-                          collision_checks=domain.stats.geometry_checks - checks0,
-                          wall_time=time.perf_counter() - t0, **kw)
 
     def composite_ok(frm, to) -> bool:
         return not any(step_collides(domain, i, frm[i], to[i], j, frm[j], to[j])
                        for i, j in itertools.combinations(range(n), 2))
 
-    start_cfg = tuple(starts)
     goal_cfg = tuple(goals)
-    if domain.configs_collide(starts):
-        return finish("infeasible")
-    start_state = (start_cfg, (0,) * n)
+    start_state = (tuple(starts), (0,) * n)
     dist = {start_state: 0}
     parent: dict = {start_state: None}
     heap = [(0, start_state, 0)]
@@ -373,9 +370,9 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
             sol = Solution(tuple(Path(tuple(c[i] for c in composites))
                                  for i in range(n)))
             assert sol.sum_of_costs == g
-            return finish("success", solution=sol, cost=g, lb=float(g))
-        if deadline is not None and time.monotonic() > deadline:
-            return finish("timeout")
+            return query.end("success", solution=sol, cost=g, lb=float(g))
+        if query.expired():
+            return query.end("timeout")
         if depth >= horizon:
             continue
         options = [domain.successor_configs(i, configs[i]) for i in range(n)]
@@ -401,7 +398,7 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
                 dist[ns] = g2
                 parent[ns] = state
                 heapq.heappush(heap, (g2, ns, depth + 1))
-    return finish("exhausted")
+    return query.end("exhausted")
 
 
 def run_planner(domain: LatticeDomain, starts, goals,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 
 from mamp.core import ConstraintIndex, step_collides
-from mamp.domains.arm import _seg_seg_dist2
+from mamp.domains.arm import _chain, _seg_seg_dist2
 
 
 def grid_bfs_cost(domain, start, goal):
@@ -217,7 +217,7 @@ def dense_edge_valid(domain, agent, q, q2, factor=100):
     for k in range(total + 1):
         s = k / total
         thetas = [a + (b - a) * s for a, b in zip(ta, tb)]
-        if not domain._body_ok(domain._chain_at_angles(agent, thetas)):
+        if not domain._body_ok(_chain(domain.arms[agent], thetas)):
             return False
     return True
 
@@ -234,8 +234,8 @@ def sampled_pair_collision(domain, i, qi0, qi1, j, qj0, qj1):
     ends = [(agent, domain._angles(agent, q), domain._angles(agent, q2))
             for agent, q, q2 in ((i, qi0, qi1), (j, qj0, qj1))]
     for s in fractions:
-        ci, cj = (domain._chain_at_angles(agent, [a + (b - a) * s
-                                                  for a, b in zip(ta, tb)])
+        ci, cj = (_chain(domain.arms[agent], [a + (b - a) * s
+                                              for a, b in zip(ta, tb)])
                   for agent, ta, tb in ends)
         if any(_seg_seg_dist2(ci[a], ci[a + 1], cj[b], cj[b + 1]) <= r2
                for a in range(len(ci) - 1) for b in range(len(cj) - 1)):

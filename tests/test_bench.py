@@ -91,6 +91,13 @@ class TestDefaultParams:
         with pytest.raises(ValueError, match="bad generator parameter"):
             parse_generate_spec("circle-arms:n")
 
+    @pytest.mark.parametrize("value,flag", [
+        ("auto", "auto"), ("true", True), ("yes", True), ("1", True),
+        ("false", False), ("no", False), ("0", False)])
+    def test_obstacle_flag_values(self, value, flag):
+        assert parse_generate_spec(f"circle-arms:obstacle={value}") == \
+            ("circle-arms", {"obstacle": flag})
+
 
 class TestRunExperiments:
     def test_row_count_and_summary(self, tmp_path):
@@ -233,6 +240,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert "summary" in captured.out
 
+    def test_shared_goal_fails_fast(self, tmp_path):
+        # two agents share a goal: every planner reports failure at once
+        scene = tmp_path / "shared.scene"
+        scene.write_text(GRID_DOC.replace("goal 0 1", "goal 3 1"))
+        out = tmp_path / "out.csv"
+        code = main(["--scene", str(scene), "--planners", "cbs,xcbs,ecbs,xecbs,pp",
+                     "--timeout", "5", "--out", str(out)])
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["planner"] for r in rows] == ["cbs", "xcbs", "ecbs", "xecbs", "pp"]
+        assert all(r["success"] == "false" and float(r["time_s"]) < 1 for r in rows)
+
     def test_generate_flag(self, tmp_path):
         out = tmp_path / "out.csv"
         code = main(["--generate", "corridor-grid:n=2,width=5,height=5",
@@ -265,9 +285,12 @@ class TestCli:
         ("corridor-grid:obstacle_p=nan", "obstacle_p"),
         ("circle-arms:radius=nan", "radius"),
         ("circle-arms:radius=inf", "radius"),
+        ("circle-arms:obstacle=maybe", "obstacle"),
+        ("corridor-grid:retries=5", "retries"),
     ], ids=["unknown-key", "links-0", "links-negative", "resolution-0",
             "resolution-inf", "thickness-nan", "thickness-negative",
-            "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf"])
+            "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf",
+            "obstacle-maybe", "retries"])
     def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
         out = tmp_path / "out.csv"
         assert main(["--generate", generate, "--planners", "cbs",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
 from mamp.lowlevel import LLParams
 import mamp.highlevel as hl
 
-from corpus import grid_corpus
+from corpus import grid_corpus, two_link_arm_pair
 from oracles import select_ct_node, timed_optimal_cost
 
 
@@ -48,10 +49,10 @@ class TestPlanExamples:
         with pytest.raises(ValueError, match="mismatched agent counts"):
             plan(GridDomain(3, 3), [(0, 0)], [(1, 1), (2, 2)], cfg("cbs"))
 
-    def test_overlapping_starts_exhaust(self):
+    def test_overlapping_starts_are_infeasible(self):
         g = GridDomain(2, 1)
         r = plan(g, [(0, 0), (0, 0)], [(1, 0), (0, 0)], cfg("cbs"))
-        assert not r.success and r.status == "exhausted"
+        assert not r.success and r.status == "infeasible"
 
     def test_timeout_is_reported(self):
         r = plan(SWAP["domain"](), SWAP["starts"], SWAP["goals"],
@@ -312,6 +313,52 @@ class TestCoupledOracle:
         r = plan_coupled_oracle(g, [(0, 0), (2, 0)], [(2, 0), (0, 0)], horizon=10)
         assert r.success
         assert r.cost == r.solution.sum_of_costs == 6
+
+
+# Two agents' bodies touch at the goals (no solution exists, since agents
+# park at their goals for good) or at the starts.
+ARM_GOAL_CLASH = dict(domain=two_link_arm_pair, starts=[(8, 0), (8, 0)],
+                      goals=[(0, 0), (16, 0)])
+GRID_GOAL_CLASH = dict(domain=lambda: GridDomain(4, 4),
+                       starts=[(0, 0), (3, 3)], goals=[(1, 2), (1, 2)])
+GRID_START_CLASH = dict(domain=lambda: GridDomain(4, 4),
+                        starts=[(1, 1), (1, 1)], goals=[(0, 0), (3, 3)])
+CLASHES = pytest.mark.parametrize(
+    "inst", [ARM_GOAL_CLASH, GRID_GOAL_CLASH, GRID_START_CLASH],
+    ids=["arm-goals", "grid-goals", "grid-starts"])
+
+
+def _run(variant, inst, timeout):
+    planner = plan_prioritized if variant == "pp" else plan
+    return planner(inst["domain"](), inst["starts"], inst["goals"],
+                   cfg(variant, timeout=timeout))
+
+
+class TestIllPosedInstances:
+    """Colliding starts or goals end `infeasible` before any search."""
+
+    @pytest.mark.parametrize("variant", ["cbs", "xcbs", "ecbs", "xecbs", "pp"])
+    @CLASHES
+    def test_planners_end_infeasible_at_once(self, variant, inst):
+        assert inst["domain"]().configs_collide(inst["goals"]) \
+            or inst["domain"]().configs_collide(inst["starts"])
+        r = _run(variant, inst, timeout=5.0)
+        assert r.status == "infeasible" and r.solution is None
+        assert r.ct_expansions == 0 and r.ll_expansions == 0
+        assert r.wall_time < 0.5
+
+    @CLASHES
+    def test_oracle_ends_infeasible_at_once(self, inst):
+        t0 = time.perf_counter()
+        r = plan_coupled_oracle(inst["domain"](), inst["starts"], inst["goals"],
+                                horizon=20, deadline=time.monotonic() + 5.0)
+        assert r.status == "infeasible"
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_clash_tests_count_as_collision_checks(self):
+        # one static pair test for the starts, one for the goals
+        r = _run("cbs", GRID_GOAL_CLASH, timeout=5.0)
+        assert r.collision_checks == 2
 
 
 class TestCorpusProperties:
