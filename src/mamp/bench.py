@@ -149,16 +149,16 @@ def _sample_arm_config(rng: random.Random, domain, agent: int, center_idx: int,
 
 
 def _valid_walk(rng: random.Random, domain, agent: int, start, length: int,
-                attract=None, bias: float = 0.65):
+                attract, bias: float = 0.65):
     """Random walk over statically valid lattice edges; the walk itself is
-    the feasibility certificate for the sampled goal. With an ``attract``
-    point the walk drifts toward postures whose tip is near it."""
+    the feasibility certificate for the sampled goal. The walk drifts toward
+    postures whose tip is near the ``attract`` point."""
     cur = start
     for _ in range(length):
         moves = [q for q in domain.successor_configs(agent, cur) if q != cur]
         if not moves:
             break
-        if attract is not None and rng.random() < bias:
+        if rng.random() < bias:
             cur = min(moves, key=lambda q: (math.dist(domain.chain(agent, q)[-1],
                                                       attract), q))
         else:
@@ -184,7 +184,7 @@ def _sample_goal(rng: random.Random, domain, agent: int, start, walk: int,
 
 def _arm_scene(rng: random.Random, bases, obstacles, links: int,
                link_length: float, resolution: float, thickness: float,
-               walk: int, attract_for=None, facing_for=None) -> Scene:
+               walk: int, attract_for, facing_for=None) -> Scene:
     limit = 16
     arms = tuple(ArmSpec(base, (quantize(link_length),) * links,
                          quantize(resolution), ((-limit, limit),) * links)
@@ -204,8 +204,7 @@ def _arm_scene(rng: random.Random, bases, obstacles, links: int,
             if start is None:
                 ok = False
                 break
-            attract = attract_for(agent) if attract_for else None
-            goal = _sample_goal(rng, domain, agent, start, walk, attract)
+            goal = _sample_goal(rng, domain, agent, start, walk, attract_for(agent))
             if goal == start:
                 ok = False
                 break
@@ -266,10 +265,10 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
                    radius: float | None = None, walk: int = 10, width: int = 8,
                    height: int = 8, obstacle_p: float = 0.18) -> str:
     """Deterministic scene document for the given generator kind and seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if links < 1:
-        raise ValueError("links must be >= 1")
+    for name, value in (("n", n), ("links", links), ("walk", walk),
+                        ("width", width), ("height", height)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     if not (resolution > 0 and math.isfinite(resolution)):
         raise ValueError("resolution must be positive and finite")
     if not (thickness >= 0 and math.isfinite(thickness)):
@@ -318,11 +317,14 @@ def parse_generate_spec(spec: str) -> tuple[str, dict]:
                     raise ValueError(f"obstacle must be one of "
                                      f"{', '.join(_OBSTACLE_VALUES)}, not {value!r}")
                 params[key] = _OBSTACLE_VALUES[value]
-            elif key in ("link_length", "resolution", "thickness", "radius",
-                         "obstacle_p"):
-                params[key] = float(value)
             else:
-                params[key] = int(value)
+                convert = float if key in ("link_length", "resolution", "thickness",
+                                           "radius", "obstacle_p") else int
+                try:
+                    params[key] = convert(value)
+                except ValueError:
+                    raise ValueError(f"bad {convert.__name__} value {value!r} "
+                                     f"for {key}") from None
     return kind, params
 
 

@@ -2,16 +2,16 @@
 
 One parameterized best-first/focal search covers the whole family:
 
-* cbs    -- f1H = cost, no focal, unit weights everywhere; optimal.
-* bcbs   -- focal over cost at both levels; w1L*w2L*wH sub-optimal.
-* ecbs   -- f1H = per-node lower bound LB, focal membership cost <= wH*min LB.
+* cbs    -- best-first on cost, unit weights everywhere; optimal.
+* ecbs   -- focal: OPEN by the per-node lower bound LB, membership
+            cost <= wH*min LB, FOCAL by conflict count; bounded sub-optimal.
 * xcbs   -- cbs + experience: each replan is warm-started with the path
             it replaces, the replanned agent's path in the parent node.
 * xecbs  -- ecbs + experience; as the low level is given the other agents'
             paths, the experience walk also stops at a step that hits one.
 
 Both levels run the same focal search: CT nodes go through
-`lowlevel.FocalQueue`, with `CTQueue` supplying the keys (f1H, cost, f2H).
+`lowlevel.FocalQueue`, with `CTQueue` supplying the keys of either shape.
 
 `plan_prioritized` is the sequential baseline (incomplete by design) and
 `plan_coupled_oracle` searches the composite space exhaustively; it is exact
@@ -42,7 +42,7 @@ from .domains.base import LatticeDomain
 from . import lowlevel
 from .lowlevel import LLParams
 
-VARIANTS = ("cbs", "bcbs", "ecbs", "xcbs", "xecbs", "pp")
+VARIANTS = ("cbs", "ecbs", "xcbs", "xecbs", "pp")
 EPS = 1e-6  # tolerance of the certificate's bound check
 BRANCHING_LIMIT = 4096  # largest composite branching factor the oracle takes
 
@@ -62,7 +62,7 @@ class PlannerConfig:
 
     # Constants, readable for config fingerprints: replans are warm-started
     # with the path they replace, the experience walk's stop rule follows
-    # from f2L (see `solve`), and caching is the domain's argument.
+    # from `focal` (see `solve`), and caching is the domain's argument.
     experience_source = "parent-path"
     termination = None
     cache = True
@@ -94,16 +94,8 @@ class PlannerConfig:
         return self.variant in ("xcbs", "xecbs")
 
     @property
-    def f1H(self) -> str:
-        return "lb" if self.variant in ("ecbs", "xecbs") else "cost"
-
-    @property
-    def f2H(self) -> str:
-        return "conflicts" if self.variant in ("bcbs", "ecbs", "xecbs") else "cost"
-
-    @property
-    def f2L(self) -> str:
-        return "conflicts" if self.variant in ("bcbs", "ecbs", "xecbs") else "f1"
+    def focal(self) -> bool:
+        return self.variant in ("ecbs", "xecbs")
 
     @property
     def bound_factor(self) -> float:
@@ -132,7 +124,7 @@ class PlanResult:
     status: str                 # success | infeasible | exhausted | timeout
     solution: Solution | None = None
     cost: int | None = None
-    lb: float | None = None     # min f1H over CT OPEN at acceptance
+    lb: float | None = None     # min LB (focal) or cost over CT OPEN at acceptance
     ct_expansions: int = 0
     ll_expansions: int = 0
     collision_checks: int = 0
@@ -145,21 +137,23 @@ class PlanResult:
 
 
 class CTQueue(lowlevel.FocalQueue):
-    """The shared OPEN/FOCAL queue keyed for CT nodes: OPEN by f1H (cost or
-    LB), membership by cost <= wH * min f1H, FOCAL by f2H. When no node is
-    within the bound (cost can exceed LB), the bound drops to the cheapest
-    open cost if wH > 1; at wH = 1 the min-f1H node is selected, which is
-    plain best-first on f1H. Ties go to the earlier-created node."""
+    """The shared OPEN/FOCAL queue keyed for CT nodes. Focal: OPEN by LB,
+    membership by cost <= wH * min LB, FOCAL by conflict count, then cost.
+    When no node is within the bound (cost can exceed LB), the bound drops
+    to the cheapest open cost if wH > 1; at wH = 1 the min-LB node is
+    selected. Otherwise all three keys are the cost: plain best-first on
+    cost. Ties go to the earlier-created node."""
 
-    def __init__(self, wH: float, f1_mode: str, f2_mode: str):
-        super().__init__(w2=wH, f2=f2_mode)
-        self.f1_mode = f1_mode
+    def __init__(self, wH: float, focal: bool):
+        super().__init__(w2=wH)
+        self.focal = focal
 
     def _keys(self, n: CTNode):
-        f1 = n.lb_total if self.f1_mode == "lb" else float(n.cost)
-        f2 = (len(n.conflicts), n.cost, n.index) if self.f2 == "conflicts" \
-            else (n.cost, n.index)
-        return (f1, n.index), float(n.cost), f2
+        cost = float(n.cost)
+        if self.focal:
+            return (n.lb_total, n.index), cost, (len(n.conflicts), cost, n.index)
+        key = (cost, n.index)
+        return key, cost, key
 
 
 class _Query:
@@ -210,7 +204,7 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         if llp.horizon is not None and llp.horizon < cidx.max_time + 1:
             child_llp = replace(llp, horizon=cidx.max_time + 1)
         others = [(j, node.paths[j]) for j in range(n) if j != agent] \
-            if config.f2L == "conflicts" else None
+            if config.focal else None
         experience = node.paths[agent].waypoints if config.use_experience else ()
         res = lowlevel.solve(domain, agent, starts[agent], goals[agent], cidx,
                              experience, child_llp, other_paths=others,
@@ -242,8 +236,8 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     if query.clash():
         return query.end("infeasible")
     starts, goals, deadline = query.starts, query.goals, query.deadline
-    llp = LLParams(w1=config.w1L, w2=config.w2L, f2=config.f2L,
-                   horizon=config.horizon)
+    llp = LLParams(w1=config.w1L, w2=config.w2L,
+                   f2="conflicts" if config.focal else "f1", horizon=config.horizon)
     paths, lbs = [], []
     for i in range(query.n):
         res = lowlevel.solve(domain, i, starts[i], goals[i], (), (), llp,
@@ -259,7 +253,7 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     root = CTNode(0, frozenset(), tuple(paths),
                   sum(path_cost(p) for p in paths),
                   tuple(detect_conflicts(paths, domain)), tuple(lbs))
-    queue = CTQueue(config.wH, config.f1H, config.f2H)
+    queue = CTQueue(config.wH, config.focal)
     queue.insert(root)
     indexer = itertools.count(1)
     ct_expansions = 0

@@ -207,19 +207,17 @@ def test_acceleration_trend():
 
 def test_validity_suite():
     rng = random.Random(31337)
-    variants = ["cbs", "bcbs", "ecbs", "xcbs", "xecbs", "pp"]
-    weighted = dict(bcbs=dict(w1L=2.0, w2L=1.3, wH=1.3),
-                    ecbs=dict(w1L=50.0, w2L=1.3, wH=1.3),
-                    xecbs=dict(w1L=50.0, w2L=1.3, wH=1.3),
-                    xcbs=dict(w1L=50.0), pp=dict(w1L=50.0), cbs={})
+    focal = dict(w1L=50.0, w2L=1.3, wH=1.3)
+    variants = [("cbs", {}), ("ecbs", dict(w1L=2.0, w2L=1.3, wH=1.3)),
+                ("ecbs", focal), ("xcbs", dict(w1L=50.0)), ("xecbs", focal),
+                ("pp", dict(w1L=50.0))]
     cases = solved = 0
     arm_scenes = [parse_scene(generate_scene("circle-arms", n=2, seed=s,
                                              links=2, walk=6))
                   for s in range(40)]
     while cases < 1000:
-        variant = variants[cases % len(variants)]
-        cfg = PlannerConfig.make(variant, timeout=3.0,
-                                 **weighted[variant])
+        variant, weights = variants[cases % len(variants)]
+        cfg = PlannerConfig.make(variant, timeout=3.0, **weights)
         if cases % 16 == 15:
             scene = arm_scenes[(cases // 16) % len(arm_scenes)]
             domain, starts, goals = scene.build_domain(), scene.starts, scene.goals

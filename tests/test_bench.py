@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from mamp import (ExperimentSpec, PlannerConfig, default_paper_params,
                   generate_scene, revalidate_dump, run_experiments)
 from mamp.bench import CSV_HEADER, _scene_for_trial, parse_generate_spec, rows_to_csv
 from mamp.cli import main
+from mamp.highlevel import VARIANTS
 
 from mutations import mutated
 
@@ -82,6 +84,9 @@ class TestDefaultParams:
         assert params["xcbs"].w1L == 50.0 and params["xcbs"].use_experience
         assert params["pp"].w1L == 50.0
         assert all(c.timeout == 60.0 for c in params.values())
+        assert set(VARIANTS) == set(params)
+        with pytest.raises(ValueError, match="unknown planner variant"):
+            PlannerConfig("bcbs")
 
     def test_generate_spec_parsing(self):
         kind, params = parse_generate_spec("circle-arms:n=4,walk=8,obstacle=auto")
@@ -287,17 +292,26 @@ class TestCli:
         ("circle-arms:radius=inf", "radius"),
         ("circle-arms:obstacle=maybe", "obstacle"),
         ("corridor-grid:retries=5", "retries"),
+        ("circle-arms:n=abc", "n"),
+        ("circle-arms:walk=1.5", "walk"),
+        ("corridor-grid:seed=x", "seed"),
+        ("corridor-grid:width=0", "width"),
+        ("corridor-grid:n=2,height=-3", "height"),
+        ("circle-arms:walk=-5", "walk"),
+        ("circle-arms:walk=0", "walk"),
     ], ids=["unknown-key", "links-0", "links-negative", "resolution-0",
             "resolution-inf", "thickness-nan", "thickness-negative",
             "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf",
-            "obstacle-maybe", "retries"])
+            "obstacle-maybe", "retries", "n-not-int", "walk-not-int",
+            "seed-not-int", "width-0", "height-negative", "walk-negative",
+            "walk-0"])
     def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
         out = tmp_path / "out.csv"
         assert main(["--generate", generate, "--planners", "cbs",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mamp-bench: error: ") and err.count("\n") == 1
-        assert key in err
+        assert re.search(rf"\b{key}\b", err.removeprefix("mamp-bench: error: "))
         assert not out.exists()
 
     def test_scene_errors_exit_2(self, tmp_path, capsys):
@@ -319,7 +333,7 @@ class TestCli:
         assert "resolution must be positive" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cache_and_termination_flags(self, tmp_path):
+    def test_cache_flag(self, tmp_path):
         scene = tmp_path / "mini.scene"
         scene.write_text(GRID_DOC)
         out = tmp_path / "out.csv"

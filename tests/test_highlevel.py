@@ -167,7 +167,7 @@ class TestExpandCTNode:
             GridDomain(9, 9), root, starts, goals, pc, llp, None,
             itertools.count(1))
         cold, cold_exp, _ = expand_ct_node(
-            GridDomain(9, 9), root, starts, goals, cfg("bcbs", w1L=50.0),
+            GridDomain(9, 9), root, starts, goals, cfg("ecbs", w1L=50.0),
             llp, None, itertools.count(1))
         assert [c.cost for c in warm] == [c.cost for c in cold]
         assert warm_exp < cold_exp
@@ -181,7 +181,7 @@ def _fake_node(index, cost, lb, n_conflicts):
 
 class TestSelectCTNode:
     def test_focal_prefers_fewer_conflicts(self):
-        q = CTQueue(1.3, "lb", "conflicts")
+        q = CTQueue(1.3, focal=True)
         a = _fake_node(0, cost=13, lb=10, n_conflicts=4)
         b = _fake_node(1, cost=11, lb=11, n_conflicts=1)
         q.insert(a)
@@ -190,7 +190,7 @@ class TestSelectCTNode:
         assert q.pop() is b
 
     def test_unit_wh_degenerates_to_min_lb(self):
-        q = CTQueue(1.0, "lb", "conflicts")
+        q = CTQueue(1.0, focal=True)
         a = _fake_node(0, cost=13, lb=10, n_conflicts=4)
         b = _fake_node(1, cost=11, lb=11, n_conflicts=1)
         q.insert(a)
@@ -198,7 +198,7 @@ class TestSelectCTNode:
         assert q.pop() is a
 
     def test_f2_tie_broken_by_cost_then_fifo(self):
-        q = CTQueue(2.0, "cost", "conflicts")
+        q = CTQueue(2.0, focal=True)
         a = _fake_node(0, cost=12, lb=10, n_conflicts=2)
         b = _fake_node(1, cost=11, lb=10, n_conflicts=2)
         c = _fake_node(2, cost=11, lb=10, n_conflicts=2)
@@ -209,7 +209,7 @@ class TestSelectCTNode:
         assert q.pop() is a
 
     def test_cbs_selection_is_min_cost_fifo(self):
-        q = CTQueue(1.0, "cost", "cost")
+        q = CTQueue(1.0, focal=False)
         a = _fake_node(0, cost=12, lb=0, n_conflicts=0)
         b = _fake_node(1, cost=11, lb=0, n_conflicts=5)
         c = _fake_node(2, cost=11, lb=0, n_conflicts=0)
@@ -225,15 +225,16 @@ CT_OPS = st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 12),
 
 
 class TestCTSelectionProperty:
+    # the ids name the oracle's (f2H, f1H) modes of each queue shape
     @pytest.mark.parametrize("wH", [1.0, 1.3, 2.0])
-    @pytest.mark.parametrize("f1H", ["lb", "cost"])
-    @pytest.mark.parametrize("f2H", ["conflicts", "cost"])
+    @pytest.mark.parametrize("focal", [True, False], ids=["conflicts-lb", "cost-cost"])
     @given(ops=CT_OPS)
     @settings(max_examples=60, deadline=None)
-    def test_pop_matches_brute_force(self, wH, f1H, f2H, ops):
+    def test_pop_matches_brute_force(self, wH, focal, ops):
         # an op is a pop (None) or an insert of (cost, 2*lb, conflicts);
         # the queue is drained at the end
-        q = CTQueue(wH, f1H, f2H)
+        q = CTQueue(wH, focal)
+        f1H, f2H = ("lb", "conflicts") if focal else ("cost", "cost")
         live = []
         for index, op in enumerate(ops + [None] * len(ops)):
             if op is None:
@@ -378,7 +379,7 @@ class TestCorpusProperties:
     def test_bound_satisfaction_weighted_variants(self):
         combos = [("ecbs", 1.3, 1.3, 1.3), ("ecbs", 2.0, 1.0, 2.0),
                   ("xecbs", 2.0, 1.3, 1.3), ("xcbs", 2.0, 1.0, 1.0),
-                  ("bcbs", 1.3, 2.0, 1.3)]
+                  ("ecbs", 1.3, 2.0, 1.3)]
         for k, inst in enumerate(self.instances):
             o = plan_coupled_oracle(inst.domain(), inst.starts, inst.goals,
                                     horizon=10)
@@ -392,9 +393,9 @@ class TestCorpusProperties:
 
     def test_all_variants_return_valid_solutions(self):
         inst = self.instances[0]
-        for variant in ("cbs", "bcbs", "ecbs", "xcbs", "xecbs"):
+        for variant in ("cbs", "ecbs", "xcbs", "xecbs"):
             kw = {} if variant in ("cbs",) else {"w1L": 2.0}
-            if variant in ("bcbs", "ecbs", "xecbs"):
+            if variant in ("ecbs", "xecbs"):
                 kw.update(w2L=1.3, wH=1.3)
             r = plan(inst.domain(), inst.starts, inst.goals,
                      cfg(variant, **kw, horizon=10))
@@ -469,6 +470,6 @@ class TestPlannerConfig:
     def test_make_fills_fixed_factors(self):
         c = PlannerConfig.make("xcbs", w1L=50.0)
         assert (c.w1L, c.w2L, c.wH, c.use_experience) == (50.0, 1.0, 1.0, True)
-        assert c.f2L == "f1" and c.f1H == "cost"
+        assert not c.focal
         x = PlannerConfig.make("xecbs", w1L=50.0, w2L=1.3, wH=1.3)
-        assert x.f1H == "lb" and x.f2H == "conflicts"
+        assert x.focal
