@@ -7,11 +7,16 @@ are capsules of a shared radius (``thickness``); validity of a motion is
 decided by sampling interpolated configurations at a declared sub-step
 density (``substeps`` per joint step).
 
-A pair of moving arms is tested by conservative advancement: each evaluated
-sub-step yields the clearance between the two bodies, and the sub-steps
-that the bodies cannot close that clearance within are skipped. The
-verdict is the sampler's; ``geometry_checks`` counts only the evaluated
-sub-steps.
+Every motion test, of one arm against the scene or of a pair of arms, walks
+its interior sub-steps by conservative advancement: a pose of known
+clearance stays clear for as many sub-steps as the bodies need to close
+it, so those sub-steps are skipped. The walk starts from the clearances at
+both ends of the motion, and each evaluated sub-step extends the skip. The
+end clearances are the static ones: a state test keeps its body clearance,
+and a static pair clearance is memoized per pair of poses. Clearances only
+set skip lengths; every verdict is the sampler's squared-distance test.
+``geometry_checks`` counts the evaluated sub-steps and each static test
+once.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ class ArmSpec:
             raise ValueError(f"link lengths {self.link_lengths} must be positive and finite")
         if not 0 < self.resolution < math.inf:
             raise ValueError(f"resolution {self.resolution} must be positive and finite")
+        if len(self.limits) != len(self.link_lengths):
+            raise ValueError(f"{len(self.limits)} joint limit pairs for "
+                             f"{len(self.link_lengths)} links")
+        if any(lo > hi for lo, hi in self.limits):
+            raise ValueError(f"joint limits {self.limits} must have lo <= hi")
 
     @property
     def reach(self) -> float:
@@ -51,12 +61,31 @@ class Segment:
     bx: float
     by: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.ax, self.ay, self.bx, self.by))):
+            raise ValueError(f"segment {self} must have finite coordinates")
+
 
 @dataclass(frozen=True)
 class Disc:
     x: float
     y: float
     r: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"disc {self} must have finite coordinates")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"disc radius {self.r} must be finite and >= 0")
+
+
+_CONTACT = -1.0  # the clearance of bodies in contact
+
+
+def _reach(gap: float, per: float, total: int) -> int:
+    """Sub-steps that a pose of clearance ``gap`` stays clear for when no
+    body point closes more than ``per`` per sub-step (at most ``total``)."""
+    return int(min(max((gap - 1e-9) / per, 0.0), total))
 
 
 def _seg_seg_dist2(p1: Point, q1: Point, p2: Point, q2: Point) -> float:
@@ -164,6 +193,10 @@ class ArmDomain(LatticeDomain):
         self.thickness = thickness
         self.substeps = substeps
         self._fk_cache: dict[tuple[int, Config], tuple[Point, ...]] = {}
+        # static clearances: body per (agent, q), kept by every state test,
+        # and pair per (i, qi, j, qj), i < j, memoized on first use
+        self._body_gaps: dict[tuple[int, Config], float] = {}
+        self._pair_gaps: dict[tuple[int, Config, int, Config], float] = {}
         # agent pairs i < j whose reach discs, grown by the capsule radius, overlap
         pairs = itertools.combinations(enumerate(self.arms), 2)
         self._near = {(i, j) for (i, a), (j, b) in pairs if math.dist(a.base, b.base)
@@ -193,31 +226,44 @@ class ArmDomain(LatticeDomain):
         limits = self.arms[agent].limits
         return len(q) == len(limits) and all(lo <= v <= hi for v, (lo, hi) in zip(q, limits))
 
-    def _body_ok(self, chain) -> bool:
-        r2_self = (2.0 * self.thickness) ** 2
+    def _body_gap(self, chain) -> float:
+        """Clearance of one arm body: the least of its self-distance less
+        2 * thickness, its distance to each segment less thickness and to
+        each disc less thickness + radius; ``_CONTACT`` on contact."""
+        t = self.thickness
+        gap = math.inf
+        r2_self = (2.0 * t) ** 2
         n = len(chain) - 1
         for a in range(n):
             for b in range(a + 2, n):  # adjacent links share a joint
-                if _seg_seg_dist2(chain[a], chain[a + 1], chain[b], chain[b + 1]) <= r2_self:
-                    return False
-        r2_seg = self.thickness ** 2
+                d2 = _seg_seg_dist2(chain[a], chain[a + 1], chain[b], chain[b + 1])
+                if d2 <= r2_self:
+                    return _CONTACT
+                gap = min(gap, math.sqrt(d2) - 2.0 * t)
+        r2_seg = t ** 2
         for a in range(n):
             p, q = chain[a], chain[a + 1]
             for ob in self.obstacles:
                 if isinstance(ob, Segment):
-                    if _seg_seg_dist2(p, q, (ob.ax, ob.ay), (ob.bx, ob.by)) <= r2_seg:
-                        return False
+                    d2 = _seg_seg_dist2(p, q, (ob.ax, ob.ay), (ob.bx, ob.by))
+                    if d2 <= r2_seg:
+                        return _CONTACT
+                    gap = min(gap, math.sqrt(d2) - t)
                 else:
-                    lim = self.thickness + ob.r
-                    if _pt_seg_dist2((ob.x, ob.y), p, q) <= lim * lim:
-                        return False
-        return True
+                    lim = t + ob.r
+                    d2 = _pt_seg_dist2((ob.x, ob.y), p, q)
+                    if d2 <= lim * lim:
+                        return _CONTACT
+                    gap = min(gap, math.sqrt(d2) - lim)
+        return max(gap, 0.0)
 
     def _check_state(self, agent: int, q: Config) -> bool:
         if not self._within_limits(agent, q):
             return False
         self.stats.geometry_checks += 1
-        return self._body_ok(self.chain(agent, q))
+        gap = self._body_gap(self.chain(agent, q))
+        self._body_gaps[agent, q] = gap
+        return gap >= 0.0
 
     def _lerp(self, agent: int, q: Config, q2: Config):
         """Chain of the joint-space interpolation q -> q2 at fraction s."""
@@ -235,6 +281,27 @@ class ArmDomain(LatticeDomain):
             out += length * abs(turn)
         return out
 
+    def _sweep_hits(self, total: int, per: float, gap0: float, arrival,
+                    gap_at) -> bool:
+        """Conservative advancement over the interior sub-steps 1 .. total-1
+        of a motion whose bodies close at most ``per`` per sub-step. The
+        walk starts past the sub-steps that the departure clearance
+        ``gap0`` covers and stops before those that the arrival clearance
+        ``arrival()`` covers, read only if the departure leaves any. Each
+        evaluated sub-step's clearance ``gap_at(k / total)`` extends the
+        skip. True iff an evaluated sub-step is in contact."""
+        k = 1 + _reach(gap0, per, total)
+        if k >= total:
+            return False
+        last = total - 1 - _reach(arrival(), per, total)
+        while k <= last:
+            self.stats.geometry_checks += 1
+            gap = gap_at(k / total)
+            if gap < 0.0:
+                return True
+            k += 1 + _reach(gap, per, total)
+        return False
+
     def _check_edge(self, agent: int, q: Config, q2: Config) -> bool:
         steps = _span(q, q2)
         if steps == 0:
@@ -242,39 +309,44 @@ class ArmDomain(LatticeDomain):
         if not (self.is_state_valid(agent, q) and self.is_state_valid(agent, q2)):
             return False
         total = self.substeps * steps
-        at = self._lerp(agent, q, q2)
-        for k in range(1, total):  # the endpoints are vertex checks
-            self.stats.geometry_checks += 1
-            if not self._body_ok(at(k / total)):
-                return False
-        return True
+        # two links of one chain close at most twice as fast as a point moves
+        per = 2.0 * self._travel(agent, q, q2) / total
+        at, gaps = self._lerp(agent, q, q2), self._body_gaps
+        return not self._sweep_hits(total, per, gaps[agent, q], lambda: gaps[agent, q2],
+                                    lambda s: self._body_gap(at(s)))
 
     # -- agent-agent geometry -------------------------------------------------
+
+    def _pair_gap(self, i: int, qi: Config, j: int, qj: Config) -> float:
+        """Static clearance of arms i and j at poses qi and qj: their least
+        link distance less 2 * thickness, ``_CONTACT`` on contact. Memoized;
+        a fill is one geometric test."""
+        key = (i, qi, j, qj)
+        gap = self._pair_gaps.get(key)
+        if gap is None:
+            self.stats.geometry_checks += 1
+            gap = self._chains_gap(self.chain(i, qi), self.chain(j, qj))
+            self._pair_gaps[key] = gap
+        return gap
+
+    def _chains_gap(self, chain_a, chain_b) -> float:
+        r = 2.0 * self.thickness
+        r2 = r ** 2
+        d2 = _min_dist2(chain_a, chain_b, r2)
+        return _CONTACT if d2 <= r2 else max(math.sqrt(d2) - r, 0.0)
 
     def _check_pairwise(self, i, qi0, qi1, j, qj0, qj1) -> bool:
         if (i, j) not in self._near:  # pairwise_collision orders i < j
             return False
-        r = 2.0 * self.thickness
-        r2 = r ** 2
         steps = max(_span(qi0, qi1), _span(qj0, qj1))
         if steps == 0:
-            self.stats.geometry_checks += 1
-            return _min_dist2(self.chain(i, qi0), self.chain(j, qj0), r2) <= r2
-        # conservative advancement: no body point moves more than `per` per
-        # sub-step, so the sub-steps within the clearance of one stay clear
+            return self._pair_gap(i, qi0, j, qj0) < 0.0
         total = self.substeps * steps
         per = (self._travel(i, qi0, qi1) + self._travel(j, qj0, qj1)) / total
         at_i, at_j = self._lerp(i, qi0, qi1), self._lerp(j, qj0, qj1)
-        k = 1
-        while k < total:
-            self.stats.geometry_checks += 1
-            s = k / total
-            d2 = _min_dist2(at_i(s), at_j(s), r2)
-            if d2 <= r2:
-                return True
-            clear = (math.sqrt(d2) - r - 1e-9) / per  # sub-steps that stay clear
-            k += 1 + int(min(max(clear, 0.0), total))
-        return False
+        return self._sweep_hits(total, per, self._pair_gap(i, qi0, j, qj0),
+                                lambda: self._pair_gap(i, qi1, j, qj1),
+                                lambda s: self._chains_gap(at_i(s), at_j(s)))
 
     # -- lattice structure ------------------------------------------------------
 

@@ -30,9 +30,10 @@ class DomainStats:
 
     ``geometry_checks`` counts elementary geometric evaluations: one static
     test of a single configuration, or one body-body test of a configuration
-    pair. A motion counts one test per sub-step evaluated; an arm pair test
-    skips, and does not count, the sub-steps it proves clear. Cache and memo
-    hits perform zero geometric tests. A successor-table hit makes no state
+    pair. A motion counts one test per sub-step evaluated; an arm motion
+    test, edge or pair, skips, and does not count, the sub-steps it proves
+    clear. Cache and memo hits perform zero geometric tests; an arm domain
+    memoizes static pair clearances, so each pair of poses counts once. A successor-table hit makes no state
     or edge query at all, so ``state_queries``, ``edge_queries`` and
     ``cache_hits`` count only the first expansion of each (agent, config).
     """

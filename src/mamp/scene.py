@@ -132,6 +132,8 @@ def _parse_arm(parts: list[str], ln: int) -> ArmSpec:
     if len(raw_limits) != 2 * len(links):
         raise SceneError(f"line {ln}: limits must give one lo/hi pair per link")
     limits = tuple((raw_limits[2 * k], raw_limits[2 * k + 1]) for k in range(len(links)))
+    if any(lo > hi for lo, hi in limits):
+        raise SceneError(f"line {ln}: joint limits must have lo <= hi")
     return ArmSpec((bx, by), links, resolution, limits)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 
 from mamp.core import ConstraintIndex, step_collides
-from mamp.domains.arm import _chain, _seg_seg_dist2
+from mamp.domains.arm import Segment, _chain, _pt_seg_dist2, _seg_seg_dist2
 
 
 def grid_bfs_cost(domain, start, goal):
@@ -205,6 +205,25 @@ def select_ct_node(nodes, wH, f1H, f2H):
     return min(nodes, key=lambda n: (f1(n), n.index))
 
 
+def body_in_contact(domain, chain):
+    """Plain contact test of one arm body: two non-adjacent links within
+    twice the capsule radius, or a link within the capsule radius of a
+    segment or within capsule radius plus disc radius of a disc centre."""
+    t = domain.thickness
+    links = list(zip(chain, chain[1:]))
+    if any(_seg_seg_dist2(*links[a], *links[b]) <= (2.0 * t) ** 2
+           for a in range(len(links)) for b in range(a + 2, len(links))):
+        return True
+    for p, q in links:
+        for ob in domain.obstacles:
+            if isinstance(ob, Segment):
+                if _seg_seg_dist2(p, q, (ob.ax, ob.ay), (ob.bx, ob.by)) <= t ** 2:
+                    return True
+            elif _pt_seg_dist2((ob.x, ob.y), p, q) <= (t + ob.r) * (t + ob.r):
+                return True
+    return False
+
+
 def dense_edge_valid(domain, agent, q, q2, factor=100):
     """Edge validity sampled at ``factor`` times the domain's declared
     sub-step density (superset of the checker's sample points)."""
@@ -217,9 +236,24 @@ def dense_edge_valid(domain, agent, q, q2, factor=100):
     for k in range(total + 1):
         s = k / total
         thetas = [a + (b - a) * s for a, b in zip(ta, tb)]
-        if not domain._body_ok(_chain(domain.arms[agent], thetas)):
+        if body_in_contact(domain, _chain(domain.arms[agent], thetas)):
             return False
     return True
+
+
+def sampled_edge_valid(domain, agent, q, q2):
+    """Edge verdict of the plain sampler: both ends lie within the joint
+    limits, and the body is clear at both ends and at every interior
+    sub-step k / total of the motion q -> q2."""
+    arm = domain.arms[agent]
+    if not all(lo <= v <= hi for c in (q, q2) for v, (lo, hi) in zip(c, arm.limits)):
+        return False
+    ta = [v * arm.resolution for v in q]
+    tb = [v * arm.resolution for v in q2]
+    total = domain.substeps * max((abs(a - b) for a, b in zip(q, q2)), default=0)
+    poses = [ta, tb] + [[a + (b - a) * s for a, b in zip(ta, tb)]
+                        for s in (k / total for k in range(1, total))]
+    return not any(body_in_contact(domain, _chain(arm, thetas)) for thetas in poses)
 
 
 def sampled_pair_collision(domain, i, qi0, qi1, j, qj0, qj1):

@@ -333,6 +333,12 @@ class TestCli:
         assert "resolution must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_arm_inverted_limits_exit_2(self, tmp_path, capsys):
+        scene = tmp_path / "arm.scene"
+        scene.write_text(ARM_DOC.replace("limits -16 16", "limits 5 -5"))
+        assert main(["--scene", str(scene), "--planners", "cbs"]) == 2
+        assert "joint limits must have lo <= hi" in capsys.readouterr().err
+
     def test_cache_flag(self, tmp_path):
         scene = tmp_path / "mini.scene"
         scene.write_text(GRID_DOC)

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path, Segment,
-                  forward_kinematics, get_successors)
+from mamp import (ArmDomain, ArmSpec, Constraint, Disc, GridDomain, Path,
+                  Segment, forward_kinematics, get_successors)
 from mamp.core import ConstraintIndex
 from mamp.domains.base import LatticeDomain
 
 from corpus import one_joint_arm, two_link_arm_pair
-from oracles import dense_edge_valid, sampled_pair_collision, step_conflicts
+from oracles import (dense_edge_valid, sampled_edge_valid, sampled_pair_collision,
+                     step_conflicts)
 
 RES = math.pi / 16
 
@@ -170,6 +171,22 @@ class TestArmInputs:
         with pytest.raises(ValueError):
             ArmDomain([arm], **kw)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Disc(0.5, 0.5, -1.0),
+        lambda: Disc(0.5, 0.5, math.inf),
+        lambda: Disc(0.5, 0.5, math.nan),
+        lambda: Disc(math.nan, 0.5, 0.1),
+        lambda: Segment(0.0, 0.0, math.inf, 1.0),
+        lambda: Segment(math.nan, 0.0, 1.0, 1.0),
+        lambda: ArmSpec((0.0, 0.0), (1.0,), RES, ((5, -5),)),
+        lambda: ArmSpec((0.0, 0.0), (1.0, 0.5), RES, ((-16, 16),)),
+    ], ids=["negative-radius", "infinite-radius", "nan-radius", "nan-disc-centre",
+            "infinite-segment-end", "nan-segment-end", "inverted-limits",
+            "limit-pairs-per-link"])
+    def test_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestArmValidity:
     def test_free_space_is_valid(self):
@@ -229,6 +246,41 @@ class TestArmValidity:
         before = d.stats.geometry_checks
         d.is_edge_valid(0, (0,), (1,))
         assert d.stats.geometry_checks > before
+
+    def test_clear_edge_skips_sub_steps(self):
+        arm = ArmSpec((0.0, 0.0), (0.5, 0.5), RES, ((-16, 16),) * 2)
+        d = ArmDomain([arm], [Disc(-3.0, 0.0, 0.1)], thickness=0.04)
+        assert d.is_state_valid(0, (0, 0)) and d.is_state_valid(0, (0, 1))
+        before = d.stats.geometry_checks
+        assert d.is_edge_valid(0, (0, 0), (0, 1))
+        assert d.stats.geometry_checks - before < d.substeps - 1
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sampler(self, data):
+        lengths = data.draw(st.lists(st.floats(0.2, 0.6), min_size=1, max_size=4))
+        coord = st.floats(-1.5, 1.5)
+        obstacles = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            x, y = data.draw(coord), data.draw(coord)
+            if data.draw(st.booleans()):
+                obstacles.append(Segment(x, y, data.draw(coord), data.draw(coord)))
+            else:
+                obstacles.append(Disc(x, y, data.draw(st.floats(0.0, 0.3))))
+        arm = ArmSpec((0.0, 0.0), tuple(lengths), RES, ((-16, 16),) * len(lengths))
+        d = ArmDomain([arm], obstacles,
+                      thickness=data.draw(st.sampled_from((0.0, 0.01, 0.04, 0.08))),
+                      substeps=data.draw(st.integers(1, 8)))
+        rng = data.draw(st.randoms(use_true_random=True))
+        for _ in range(20):
+            q = [rng.randint(-12, 12) for _ in lengths]
+            if rng.random() < 0.5:
+                q2 = list(q)
+                q2[rng.randrange(len(q))] += rng.randint(-8, 8)
+            else:
+                q2 = [v + rng.randint(-8, 8) for v in q]
+            q, q2 = tuple(q), tuple(q2)
+            assert d._check_edge(0, q, q2) == sampled_edge_valid(d, 0, q, q2), (q, q2)
 
 
 class TestSuccessorTable:
@@ -296,6 +348,13 @@ class TestPairwise:
         before = d.stats.geometry_checks
         assert not d.pairwise_collision(0, (16, 0), (15, 2), 1, (0, 0), (1, 0))
         assert d.stats.geometry_checks - before == 1
+
+    def test_shared_departure_costs_nothing(self):
+        d = two_link_arm_pair(gap=1.7)  # arms point apart, bases 1.62 clear
+        assert not d.pairwise_collision(0, (16, 0), (15, 2), 1, (0, 0), (1, 0))
+        before = d.stats.geometry_checks
+        assert not d.pairwise_collision(0, (16, 0), (16, 1), 1, (0, 0), (0, 1))
+        assert d.stats.geometry_checks == before
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

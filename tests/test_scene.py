@@ -131,6 +131,8 @@ class TestParsing:
                              " -16 16", 1), "line 6: joint limits"),
         (lambda d: NEGATIVE_LINK_DOC, "line 2: link lengths must be positive"),
         (lambda d: NEGATIVE_DISC_DOC, "line 2: disc radius must be >= 0"),
+        (lambda d: d.replace("limits -16 16 -16 16", "limits -16 16 5 -5", 1),
+         "line 6: joint limits must have lo <= hi"),
     ])
     def test_arm_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
