@@ -7,16 +7,23 @@ are capsules of a shared radius (``thickness``); validity of a motion is
 decided by sampling interpolated configurations at a declared sub-step
 density (``substeps`` per joint step).
 
-Every motion test, of one arm against the scene or of a pair of arms, walks
-its interior sub-steps by conservative advancement: a pose of known
-clearance stays clear for as many sub-steps as the bodies need to close
-it, so those sub-steps are skipped. The walk starts from the clearances at
-both ends of the motion, and each evaluated sub-step extends the skip. The
-end clearances are the static ones: a state test keeps its body clearance,
-and a static pair clearance is memoized per pair of poses. Clearances only
-set skip lengths; every verdict is the sampler's squared-distance test.
-``geometry_checks`` counts the evaluated sub-steps and each static test
-once.
+Every motion test, of one arm against the scene and itself or of a pair of
+arms, is one conservative-advancement walk over the moving arms' interior
+sub-steps: a pose of known clearance stays clear for as many sub-steps as
+the bodies need to close it, so those sub-steps are skipped. One closing
+bound serves both tests: per sub-step, no two body points close faster than
+the sum over the moving arms of their travel bounds (length times change of
+absolute angle, summed over links); for two points of one chain only the
+links between them count, so the bound covers self-approach too. The walk
+starts from the static clearances at both ends of the motion (a state test
+keeps its body clearance; a pair clearance is memoized per pair of poses),
+interpolates the chains only if some sub-step is left to evaluate, and lets
+each evaluated sub-step extend the skip. One body-body kernel gives the
+clearance of two arms and an arm's self-clearance alike: the least link
+distance less 2 * thickness, contact at ``<= (2 * thickness)**2``.
+Clearances only set skip lengths; every verdict is the sampler's
+squared-distance test. ``geometry_checks`` counts the evaluated sub-steps
+and each static test once.
 """
 
 from __future__ import annotations
@@ -84,8 +91,13 @@ _CONTACT = -1.0  # the clearance of bodies in contact
 
 def _reach(gap: float, per: float, total: int) -> int:
     """Sub-steps that a pose of clearance ``gap`` stays clear for when no
-    body point closes more than ``per`` per sub-step (at most ``total``)."""
-    return int(min(max((gap - 1e-9) / per, 0.0), total))
+    body point closes more than ``per`` per sub-step (at most ``total``).
+    A zero bound means no body point moves a representable distance, so a
+    clear pose covers the whole motion."""
+    room = gap - 1e-9
+    if room <= 0.0:
+        return 0
+    return int(min(room / per, total)) if per > 0.0 else total
 
 
 def _seg_seg_dist2(p1: Point, q1: Point, p2: Point, q2: Point) -> float:
@@ -136,21 +148,6 @@ def _pt_seg_dist2(p: Point, a: Point, b: Point) -> float:
     return dx * dx + dy * dy
 
 
-def _min_dist2(chain_a, chain_b, stop: float) -> float:
-    """Least squared distance between the links of two chains, returned as
-    soon as one link pair is within ``stop``."""
-    best = math.inf
-    for a in range(len(chain_a) - 1):
-        p1, q1 = chain_a[a], chain_a[a + 1]
-        for b in range(len(chain_b) - 1):
-            d2 = _seg_seg_dist2(p1, q1, chain_b[b], chain_b[b + 1])
-            if d2 < best:
-                if d2 <= stop:
-                    return d2
-                best = d2
-    return best
-
-
 def _chain(arm: ArmSpec, thetas) -> tuple[Point, ...]:
     """Capsule chain [base, joint1, ..., jointK] at the given joint angles:
     joint i+1 = joint i + L_i * (cos sum(theta), sin sum(theta))."""
@@ -163,11 +160,6 @@ def _chain(arm: ArmSpec, thetas) -> tuple[Point, ...]:
         y += length * math.sin(acc)
         pts.append((x, y))
     return tuple(pts)
-
-
-def _span(q: Config, q2: Config) -> int:
-    """Largest single-joint step of the motion q -> q2, in lattice steps."""
-    return max(abs(a - b) for a, b in zip(q, q2)) if q != q2 else 0
 
 
 def forward_kinematics(arm: ArmSpec, q: Config) -> list[Point]:
@@ -226,22 +218,36 @@ class ArmDomain(LatticeDomain):
         limits = self.arms[agent].limits
         return len(q) == len(limits) and all(lo <= v <= hi for v, (lo, hi) in zip(q, limits))
 
+    def _chains_gap(self, chain_a, chain_b) -> float:
+        """Clearance of two link chains, of two arms or of two parts of one
+        arm: their least link distance less 2 * thickness, ``_CONTACT`` on
+        contact."""
+        r = 2.0 * self.thickness
+        r2 = r * r
+        best = math.inf
+        for a in range(len(chain_a) - 1):
+            p1, q1 = chain_a[a], chain_a[a + 1]
+            for b in range(len(chain_b) - 1):
+                d2 = _seg_seg_dist2(p1, q1, chain_b[b], chain_b[b + 1])
+                if d2 < best:
+                    if d2 <= r2:
+                        return _CONTACT
+                    best = d2
+        return max(math.sqrt(best) - r, 0.0)
+
     def _body_gap(self, chain) -> float:
-        """Clearance of one arm body: the least of its self-distance less
-        2 * thickness, its distance to each segment less thickness and to
-        each disc less thickness + radius; ``_CONTACT`` on contact."""
-        t = self.thickness
+        """Clearance of one arm body: the least of its self-clearance (each
+        link against the links past its neighbour, with which it shares a
+        joint), its distance to each segment less thickness and to each disc
+        less thickness + radius; ``_CONTACT`` on contact."""
         gap = math.inf
-        r2_self = (2.0 * t) ** 2
-        n = len(chain) - 1
-        for a in range(n):
-            for b in range(a + 2, n):  # adjacent links share a joint
-                d2 = _seg_seg_dist2(chain[a], chain[a + 1], chain[b], chain[b + 1])
-                if d2 <= r2_self:
-                    return _CONTACT
-                gap = min(gap, math.sqrt(d2) - 2.0 * t)
-        r2_seg = t ** 2
-        for a in range(n):
+        for a in range(len(chain) - 3):
+            gap = min(gap, self._chains_gap(chain[a:a + 2], chain[a + 2:]))
+            if gap < 0.0:
+                return _CONTACT
+        t = self.thickness
+        r2_seg = t * t
+        for a in range(len(chain) - 1):
             p, q = chain[a], chain[a + 1]
             for ob in self.obstacles:
                 if isinstance(ob, Segment):
@@ -265,62 +271,61 @@ class ArmDomain(LatticeDomain):
         self._body_gaps[agent, q] = gap
         return gap >= 0.0
 
-    def _lerp(self, agent: int, q: Config, q2: Config):
-        """Chain of the joint-space interpolation q -> q2 at fraction s."""
-        arm, ta, tb = self.arms[agent], self._angles(agent, q), self._angles(agent, q2)
-        return lambda s: _chain(arm, [a + (b - a) * s for a, b in zip(ta, tb)])
-
-    def _travel(self, agent: int, q: Config, q2: Config) -> float:
-        """Bound on how far any body point moves over the interpolation
-        q -> q2: the sum over links of length times the change of the link's
-        absolute angle (the prefix sum of the joint changes)."""
-        turn = out = 0.0
-        for length, a, b in zip(self.arms[agent].link_lengths,
-                                self._angles(agent, q), self._angles(agent, q2)):
-            turn += b - a
-            out += length * abs(turn)
-        return out
-
-    def _sweep_hits(self, total: int, per: float, gap0: float, arrival,
-                    gap_at) -> bool:
-        """Conservative advancement over the interior sub-steps 1 .. total-1
-        of a motion whose bodies close at most ``per`` per sub-step. The
+    def _sweep_hits(self, moving, gap0: float, arrival, gap_at) -> bool:
+        """Conservative advancement over the interior sub-steps k / total of
+        the synchronized motion of ``moving``, a sequence of (agent, q, q2)
+        triples; total is ``substeps`` times the largest joint step. The
         walk starts past the sub-steps that the departure clearance
         ``gap0`` covers and stops before those that the arrival clearance
         ``arrival()`` covers, read only if the departure leaves any. Each
-        evaluated sub-step's clearance ``gap_at(k / total)`` extends the
-        skip. True iff an evaluated sub-step is in contact."""
+        evaluated sub-step's clearance ``gap_at(*chains)`` extends the skip.
+        True iff an evaluated sub-step is in contact; with no motion the one
+        pose is the departure."""
+        steps, travel = 0, 0.0
+        for agent, q, q2 in moving:
+            if q == q2:
+                continue
+            arm = self.arms[agent]
+            res, turn, out = arm.resolution, 0.0, 0.0  # travel bound of this arm
+            for length, a, b in zip(arm.link_lengths, q, q2):
+                steps = max(steps, abs(b - a))
+                turn += b * res - a * res
+                out += length * abs(turn)
+            travel += out
+        if steps == 0:
+            return gap0 < 0.0
+        total = self.substeps * steps
+        per = travel / total
         k = 1 + _reach(gap0, per, total)
         if k >= total:
             return False
         last = total - 1 - _reach(arrival(), per, total)
+        if k > last:
+            return False
+        ends = [(self.arms[agent], self._angles(agent, q), self._angles(agent, q2))
+                for agent, q, q2 in moving]
         while k <= last:
             self.stats.geometry_checks += 1
-            gap = gap_at(k / total)
+            s = k / total
+            gap = gap_at(*[_chain(arm, [a + (b - a) * s for a, b in zip(ta, tb)])
+                           for arm, ta, tb in ends])
             if gap < 0.0:
                 return True
             k += 1 + _reach(gap, per, total)
         return False
 
     def _check_edge(self, agent: int, q: Config, q2: Config) -> bool:
-        steps = _span(q, q2)
-        if steps == 0:
-            return self.is_state_valid(agent, q)
         if not (self.is_state_valid(agent, q) and self.is_state_valid(agent, q2)):
             return False
-        total = self.substeps * steps
-        # two links of one chain close at most twice as fast as a point moves
-        per = 2.0 * self._travel(agent, q, q2) / total
-        at, gaps = self._lerp(agent, q, q2), self._body_gaps
-        return not self._sweep_hits(total, per, gaps[agent, q], lambda: gaps[agent, q2],
-                                    lambda s: self._body_gap(at(s)))
+        gaps = self._body_gaps
+        return not self._sweep_hits(((agent, q, q2),), gaps[agent, q],
+                                    lambda: gaps[agent, q2], self._body_gap)
 
     # -- agent-agent geometry -------------------------------------------------
 
     def _pair_gap(self, i: int, qi: Config, j: int, qj: Config) -> float:
-        """Static clearance of arms i and j at poses qi and qj: their least
-        link distance less 2 * thickness, ``_CONTACT`` on contact. Memoized;
-        a fill is one geometric test."""
+        """Static clearance of arms i and j at poses qi and qj, memoized; a
+        fill is one geometric test."""
         key = (i, qi, j, qj)
         gap = self._pair_gaps.get(key)
         if gap is None:
@@ -329,24 +334,12 @@ class ArmDomain(LatticeDomain):
             self._pair_gaps[key] = gap
         return gap
 
-    def _chains_gap(self, chain_a, chain_b) -> float:
-        r = 2.0 * self.thickness
-        r2 = r ** 2
-        d2 = _min_dist2(chain_a, chain_b, r2)
-        return _CONTACT if d2 <= r2 else max(math.sqrt(d2) - r, 0.0)
-
     def _check_pairwise(self, i, qi0, qi1, j, qj0, qj1) -> bool:
         if (i, j) not in self._near:  # pairwise_collision orders i < j
             return False
-        steps = max(_span(qi0, qi1), _span(qj0, qj1))
-        if steps == 0:
-            return self._pair_gap(i, qi0, j, qj0) < 0.0
-        total = self.substeps * steps
-        per = (self._travel(i, qi0, qi1) + self._travel(j, qj0, qj1)) / total
-        at_i, at_j = self._lerp(i, qi0, qi1), self._lerp(j, qj0, qj1)
-        return self._sweep_hits(total, per, self._pair_gap(i, qi0, j, qj0),
-                                lambda: self._pair_gap(i, qi1, j, qj1),
-                                lambda s: self._chains_gap(at_i(s), at_j(s)))
+        return self._sweep_hits(((i, qi0, qi1), (j, qj0, qj1)),
+                                self._pair_gap(i, qi0, j, qj0),
+                                lambda: self._pair_gap(i, qi1, j, qj1), self._chains_gap)
 
     # -- lattice structure ------------------------------------------------------
 

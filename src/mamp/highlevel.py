@@ -71,8 +71,8 @@ class PlannerConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown planner variant {self.variant!r}")
-        if not all(w >= 1.0 for w in (self.w1L, self.w2L, self.wH)):
-            raise ValueError("suboptimality factors must be >= 1")
+        if not all(1.0 <= w < math.inf for w in (self.w1L, self.w2L, self.wH)):
+            raise ValueError("suboptimality factors must be >= 1 and finite")
         if not self.timeout >= 0:
             raise ValueError("timeout must be >= 0")
         fixed_unit = {

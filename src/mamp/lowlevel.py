@@ -41,8 +41,8 @@ class LLParams:
     horizon: int | None = None     # None: latest constraint time + min(|V|, TMAX)
 
     def __post_init__(self):
-        if not (self.w1 >= 1.0 and self.w2 >= 1.0):
-            raise ValueError("suboptimality factors must be >= 1")
+        if not (1.0 <= self.w1 < INF and 1.0 <= self.w2 < INF):
+            raise ValueError("suboptimality factors must be >= 1 and finite")
 
 
 @dataclass

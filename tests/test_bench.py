@@ -339,6 +339,28 @@ class TestCli:
         assert main(["--scene", str(scene), "--planners", "cbs"]) == 2
         assert "joint limits must have lo <= hi" in capsys.readouterr().err
 
+    def test_arm_subnormal_resolution_runs(self, tmp_path):
+        # the motion bound underflows to 0: no body point moves at all
+        scene = tmp_path / "arm.scene"
+        scene.write_text(ARM_DOC.replace("resolution 0.196349541",
+                                         "resolution 5e-324"))
+        out = tmp_path / "out.csv"
+        assert main(["--scene", str(scene), "--planners", "cbs",
+                     "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert header == ",".join(CSV_HEADER) and row.split(",")[3] == "true"
+
+    @pytest.mark.parametrize("extra", ["", "obstacle segment 5 5 6 6\n",
+                                       "arm base 3 0 links 0.4 resolution 0.196349541 "
+                                       "limits -16 16\nagent start 0 goal 2\n"],
+                             ids=["alone", "segment", "two-arms"])
+    def test_arm_huge_thickness_never_raises(self, tmp_path, extra):
+        # (2 * thickness) squared overflows; every capsule then touches
+        scene = tmp_path / "arm.scene"
+        scene.write_text(ARM_DOC.replace("thickness 0.04", "thickness 1e200") + extra)
+        assert main(["--scene", str(scene), "--planners", "cbs",
+                     "--out", str(tmp_path / "out.csv")]) in (0, 2)
+
     def test_cache_flag(self, tmp_path):
         scene = tmp_path / "mini.scene"
         scene.write_text(GRID_DOC)

@@ -255,6 +255,18 @@ class TestArmValidity:
         assert d.is_edge_valid(0, (0, 0), (0, 1))
         assert d.stats.geometry_checks - before < d.substeps - 1
 
+    def test_edge_closes_at_the_travel_bound(self):
+        # The tip sweeps RES past a disc on the bisector. Each end pose is
+        # 0.133 clear, 5.4 sub-steps of travel at RES / 8 per sub-step, so
+        # the two ends cover all 7 interior sub-steps; at twice that bound
+        # they would cover only 2 + 2.
+        mid = RES / 2
+        d = one_joint_arm(obstacles=[Disc(1.25 * math.cos(mid), 1.25 * math.sin(mid), 0.1)])
+        assert d.is_state_valid(0, (0,)) and d.is_state_valid(0, (1,))
+        before = d.stats.geometry_checks
+        assert d.is_edge_valid(0, (0,), (1,))
+        assert d.stats.geometry_checks == before
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_sampler(self, data):

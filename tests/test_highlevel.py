@@ -467,6 +467,12 @@ class TestPlannerConfig:
         with pytest.raises(ValueError, match="unknown planner"):
             PlannerConfig("a-star")
 
+    @pytest.mark.parametrize("name", ["w1L", "w2L", "wH"])
+    def test_infinite_weights_rejected(self, name):
+        # an infinite factor makes the suboptimality bound vacuous
+        with pytest.raises(ValueError, match="finite"):
+            PlannerConfig.make("ecbs", **{"w1L": 1.0, "w2L": 1.3, "wH": 1.3, name: math.inf})
+
     def test_make_fills_fixed_factors(self):
         c = PlannerConfig.make("xcbs", w1L=50.0)
         assert (c.w1L, c.w2L, c.wH, c.use_experience) == (50.0, 1.0, 1.0, True)

@@ -92,6 +92,13 @@ class TestSolveExamples:
         with pytest.raises(ValueError, match=">= 1"):
             LLParams(w1=math.nan)
 
+    @pytest.mark.parametrize("kw", [dict(w1=math.inf), dict(w2=math.inf)],
+                             ids=["w1", "w2"])
+    def test_infinite_weights_rejected(self, kw):
+        # f1 = g + inf * h is nan at the goal, so OPEN would hold nan keys
+        with pytest.raises(ValueError, match="finite"):
+            LLParams(**kw)
+
     def test_start_equals_goal(self):
         g = GridDomain(3, 3)
         r = solve(g, 0, (1, 1), (1, 1))
