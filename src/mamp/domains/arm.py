@@ -20,7 +20,11 @@ keeps its body clearance; a pair clearance is memoized per pair of poses),
 interpolates the chains only if some sub-step is left to evaluate, and lets
 each evaluated sub-step extend the skip. One body-body kernel gives the
 clearance of two arms and an arm's self-clearance alike: the least link
-distance less 2 * thickness, contact at ``<= (2 * thickness)**2``.
+distance less 2 * thickness, contact at ``<= (2 * thickness)**2``. One reach
+table per pair of arms whose reach discs overlap serves both the arm-level
+test (no table, no contact) and the kernel's link-pair walk, which takes
+the pairs by a static lower bound on their distance and stops once no later
+pair can be nearer, so the clearance is exactly that of every pair.
 Clearances only set skip lengths; every verdict is the sampler's
 squared-distance test. ``geometry_checks`` counts the evaluated sub-steps
 and each static test once.
@@ -55,6 +59,13 @@ class ArmSpec:
                              f"{len(self.link_lengths)} links")
         if any(lo > hi for lo, hi in self.limits):
             raise ValueError(f"joint limits {self.limits} must have lo <= hi")
+        try:  # the largest sum of squared joint distances that the heuristic takes
+            square = sum(w * w for w in [(hi - lo) * self.resolution for lo, hi in self.limits])
+        except OverflowError:  # a limit past the float range
+            square = math.inf
+        if not math.isfinite(square):
+            raise ValueError(f"joint limits {self.limits} times resolution {self.resolution} "
+                             "overflow the squared joint distance")
 
     @property
     def reach(self) -> float:
@@ -189,10 +200,24 @@ class ArmDomain(LatticeDomain):
         # and pair per (i, qi, j, qj), i < j, memoized on first use
         self._body_gaps: dict[tuple[int, Config], float] = {}
         self._pair_gaps: dict[tuple[int, Config, int, Config], float] = {}
-        # agent pairs i < j whose reach discs, grown by the capsule radius, overlap
-        pairs = itertools.combinations(enumerate(self.arms), 2)
-        self._near = {(i, j) for (i, a), (j, b) in pairs if math.dist(a.base, b.base)
-                      <= a.reach + b.reach + 2.0 * thickness}
+        # one reach table per agent pair i < j whose reach discs, grown by the
+        # capsule radius, overlap: rows (a, b, lo2) sorted by lo2, a bound on
+        # the squared distance of link a of arm i and link b of arm j at any
+        # angles (link a stays within links 0..a's length of its base) less a
+        # margin for rounding that scales with the coordinates
+        self._rows: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+        for (i, arm_i), (j, arm_j) in itertools.combinations(enumerate(self.arms), 2):
+            dist = math.dist(arm_i.base, arm_j.base)
+            if dist <= arm_i.reach + arm_j.reach + 2.0 * thickness:
+                far = math.hypot(*arm_i.base) + math.hypot(*arm_j.base)
+                rows = [(a, b, max(dist - ra - rb - 1e-9 * (far + ra + rb), 0.0) ** 2)
+                        for a, ra in enumerate(itertools.accumulate(arm_i.link_lengths))
+                        for b, rb in enumerate(itertools.accumulate(arm_j.link_lengths))]
+                self._rows[i, j] = sorted(rows, key=lambda row: row[2])
+        # self-contact rows by chain length: each link against the links past
+        # its neighbour, with which it shares a joint; unbounded, never pruned
+        self._self_rows = {n + 1: [(a, b, 0.0) for a in range(n) for b in range(a + 2, n)]
+                           for n in {len(arm.link_lengths) for arm in self.arms}}
 
     @property
     def num_agents(self) -> int:
@@ -218,33 +243,31 @@ class ArmDomain(LatticeDomain):
         limits = self.arms[agent].limits
         return len(q) == len(limits) and all(lo <= v <= hi for v, (lo, hi) in zip(q, limits))
 
-    def _chains_gap(self, chain_a, chain_b) -> float:
-        """Clearance of two link chains, of two arms or of two parts of one
-        arm: their least link distance less 2 * thickness, ``_CONTACT`` on
-        contact."""
+    def _chains_gap(self, chain_a, chain_b, rows) -> float:
+        """Clearance of two link chains, of two arms or of one arm with
+        itself, over the link pairs of a reach table: their least distance
+        less 2 * thickness, ``_CONTACT`` on contact. The walk stops at the
+        first row whose bound reaches the best so far; no later row beats it."""
         r = 2.0 * self.thickness
         r2 = r * r
         best = math.inf
-        for a in range(len(chain_a) - 1):
-            p1, q1 = chain_a[a], chain_a[a + 1]
-            for b in range(len(chain_b) - 1):
-                d2 = _seg_seg_dist2(p1, q1, chain_b[b], chain_b[b + 1])
-                if d2 < best:
-                    if d2 <= r2:
-                        return _CONTACT
-                    best = d2
+        for a, b, lo2 in rows:
+            if lo2 >= best:
+                break
+            d2 = _seg_seg_dist2(chain_a[a], chain_a[a + 1], chain_b[b], chain_b[b + 1])
+            if d2 < best:
+                if d2 <= r2:
+                    return _CONTACT
+                best = d2
         return max(math.sqrt(best) - r, 0.0)
 
     def _body_gap(self, chain) -> float:
-        """Clearance of one arm body: the least of its self-clearance (each
-        link against the links past its neighbour, with which it shares a
-        joint), its distance to each segment less thickness and to each disc
-        less thickness + radius; ``_CONTACT`` on contact."""
-        gap = math.inf
-        for a in range(len(chain) - 3):
-            gap = min(gap, self._chains_gap(chain[a:a + 2], chain[a + 2:]))
-            if gap < 0.0:
-                return _CONTACT
+        """Clearance of one arm body: the least of its self-clearance, its
+        distance to each segment less thickness and to each disc less
+        thickness + radius; ``_CONTACT`` on contact."""
+        gap = self._chains_gap(chain, chain, self._self_rows[len(chain)])
+        if gap < 0.0:
+            return _CONTACT
         t = self.thickness
         r2_seg = t * t
         for a in range(len(chain) - 1):
@@ -330,16 +353,18 @@ class ArmDomain(LatticeDomain):
         gap = self._pair_gaps.get(key)
         if gap is None:
             self.stats.geometry_checks += 1
-            gap = self._chains_gap(self.chain(i, qi), self.chain(j, qj))
+            gap = self._chains_gap(self.chain(i, qi), self.chain(j, qj), self._rows[i, j])
             self._pair_gaps[key] = gap
         return gap
 
     def _check_pairwise(self, i, qi0, qi1, j, qj0, qj1) -> bool:
-        if (i, j) not in self._near:  # pairwise_collision orders i < j
+        rows = self._rows.get((i, j))  # pairwise_collision orders i < j
+        if rows is None:
             return False
         return self._sweep_hits(((i, qi0, qi1), (j, qj0, qj1)),
                                 self._pair_gap(i, qi0, j, qj0),
-                                lambda: self._pair_gap(i, qi1, j, qj1), self._chains_gap)
+                                lambda: self._pair_gap(i, qi1, j, qj1),
+                                lambda ci, cj: self._chains_gap(ci, cj, rows))
 
     # -- lattice structure ------------------------------------------------------
 

@@ -299,12 +299,13 @@ class TestCli:
         ("corridor-grid:n=2,height=-3", "height"),
         ("circle-arms:walk=-5", "walk"),
         ("circle-arms:walk=0", "walk"),
+        ("circle-arms:n=2,resolution=1e300", "resolution"),
     ], ids=["unknown-key", "links-0", "links-negative", "resolution-0",
             "resolution-inf", "thickness-nan", "thickness-negative",
             "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf",
             "obstacle-maybe", "retries", "n-not-int", "walk-not-int",
             "seed-not-int", "width-0", "height-negative", "walk-negative",
-            "walk-0"])
+            "walk-0", "resolution-overflows"])
     def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
         out = tmp_path / "out.csv"
         assert main(["--generate", generate, "--planners", "cbs",
@@ -338,6 +339,15 @@ class TestCli:
         scene.write_text(ARM_DOC.replace("limits -16 16", "limits 5 -5"))
         assert main(["--scene", str(scene), "--planners", "cbs"]) == 2
         assert "joint limits must have lo <= hi" in capsys.readouterr().err
+
+    def test_arm_huge_resolution_exit_2(self, tmp_path, capsys):
+        # the squared joint distances of the heuristic would overflow
+        scene = tmp_path / "arm.scene"
+        scene.write_text(ARM_DOC.replace("resolution 0.196349541", "resolution 1e300"))
+        assert main(["--scene", str(scene), "--planners", "cbs",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mamp-bench: scene error: line 4: ") and err.count("\n") == 1
 
     def test_arm_subnormal_resolution_runs(self, tmp_path):
         # the motion bound underflows to 0: no body point moves at all

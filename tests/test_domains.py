@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mamp import (ArmDomain, ArmSpec, Constraint, Disc, GridDomain, Path,
                   Segment, forward_kinematics, get_successors)
 from mamp.core import ConstraintIndex
+from mamp.domains.arm import _CONTACT, _chain, _seg_seg_dist2
 from mamp.domains.base import LatticeDomain
 
 from corpus import one_joint_arm, two_link_arm_pair
@@ -180,9 +181,13 @@ class TestArmInputs:
         lambda: Segment(math.nan, 0.0, 1.0, 1.0),
         lambda: ArmSpec((0.0, 0.0), (1.0,), RES, ((5, -5),)),
         lambda: ArmSpec((0.0, 0.0), (1.0, 0.5), RES, ((-16, 16),)),
+        lambda: ArmSpec((0.0, 0.0), (1.0,), 1e300, ((-16, 16),)),
+        lambda: ArmSpec((0.0, 0.0), (1.0, 1.0), 3.5e152, ((-16, 16), (0, 32))),
+        lambda: ArmSpec((0.0, 0.0), (1.0,), RES, ((-10 ** 400, 10 ** 400),)),
     ], ids=["negative-radius", "infinite-radius", "nan-radius", "nan-disc-centre",
             "infinite-segment-end", "nan-segment-end", "inverted-limits",
-            "limit-pairs-per-link"])
+            "limit-pairs-per-link", "squared-span-overflows", "summed-span-overflows",
+            "limit-past-float-range"])
     def test_rejected(self, build):
         with pytest.raises(ValueError):
             build()
@@ -400,6 +405,72 @@ class TestPairwise:
         assert not g.pairwise_collision(0, (0, 0), (1, 0), 1, (2, 0), (1, 0))
         assert not g.pairwise_collision(0, (0, 0), (1, 0), 1, (1, 0), (2, 0))
 
+
+
+def _posed_arm_pair(data):
+    """Two arms of 1-4 links with bases up to 2.6 apart, both translated by
+    up to 1e6, and a chain of each at random float angles (as the walk's
+    interpolated poses are)."""
+    dx, dy = data.draw(st.floats(-1e6, 1e6)), data.draw(st.floats(-1e6, 1e6))
+    dist, heading = data.draw(st.floats(0.0, 2.6)), data.draw(st.floats(-math.pi, math.pi))
+    arms, chains = [], []
+    for base in ((dx, dy), (dx + dist * math.cos(heading), dy + dist * math.sin(heading))):
+        lengths = data.draw(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=4))
+        arms.append(ArmSpec(base, tuple(lengths), RES, ((-16, 16),) * len(lengths)))
+        angles = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=len(lengths),
+                                    max_size=len(lengths)))
+        chains.append(_chain(arms[-1], angles))
+    d = ArmDomain(arms, thickness=data.draw(st.sampled_from((0.0, 0.01, 0.04))))
+    return d, chains
+
+
+def _least_link_gap(d, chain_a, chain_b, pairs):
+    """The clearance over every listed link pair, written out in full."""
+    d2 = min((_seg_seg_dist2(chain_a[a], chain_a[a + 1], chain_b[b], chain_b[b + 1])
+              for a, b in pairs), default=math.inf)
+    r = 2.0 * d.thickness
+    return _CONTACT if d2 <= r * r else max(math.sqrt(d2) - r, 0.0)
+
+
+class TestReachTable:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_walk_equals_every_link_pair(self, data):
+        d, (ca, cb) = _posed_arm_pair(data)
+        every = [(a, b) for a in range(len(ca) - 1) for b in range(len(cb) - 1)]
+        want = _least_link_gap(d, ca, cb, every)
+        rows = d._rows.get((0, 1))
+        if rows is None:  # reach discs apart: no table, and no contact
+            assert want != _CONTACT
+        else:
+            assert d._chains_gap(ca, cb, rows) == want
+        apart = [(a, b) for a in range(len(ca) - 1) for b in range(a + 2, len(ca) - 1)]
+        assert d._chains_gap(ca, ca, d._self_rows[len(ca)]) == \
+            _least_link_gap(d, ca, ca, apart)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_bound_their_link_pair(self, data):
+        d, (ca, cb) = _posed_arm_pair(data)
+        for a, b, lo2 in d._rows.get((0, 1), ()):
+            assert math.sqrt(lo2) <= math.sqrt(
+                _seg_seg_dist2(ca[a], ca[a + 1], cb[b], cb[b + 1])), (a, b)
+
+    def test_near_distal_links_skip_six_of_nine_pairs(self, monkeypatch):
+        limits = ((-16, 16),) * 3
+        arms = [ArmSpec((0.0, 0.0), (0.4,) * 3, RES, limits),
+                ArmSpec((1.819, 0.0), (0.4,) * 3, RES, limits)]
+        d = ArmDomain(arms, thickness=0.04)
+        q0, q1 = (0, 0, 0), (14, 2, 0)
+        ca, cb = d.chain(0, q0), d.chain(1, q1)
+        assert 0.1 < math.sqrt(_seg_seg_dist2(ca[2], ca[3], cb[2], cb[3])) < 0.2
+        calls = []
+        monkeypatch.setattr("mamp.domains.arm._seg_seg_dist2",
+                            lambda *seg: calls.append(seg) or _seg_seg_dist2(*seg))
+        before = d.stats.geometry_checks
+        assert not d.pairwise_collision(0, q0, q0, 1, q1, q1)
+        assert len(calls) == 3
+        assert d.stats.geometry_checks - before == 1
 
 class TestCacheTransparency:
     def test_planners_identical_with_and_without_cache(self):
