@@ -1,6 +1,6 @@
 """Benchmark command line.
 
-Exit codes: 0 success, 1 usage error, 2 scene error.
+Exit codes: 0 success, 1 usage error or unwritable output, 2 scene error.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ def main(argv=None) -> int:
     scene_name = "scene"
     if args.scene:
         try:
-            with open(args.scene) as fh:
+            with open(args.scene, encoding="utf-8") as fh:
                 scene_text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"{parser.prog}: scene error: {exc}", file=sys.stderr)
             return 2
         scene_name = args.scene.rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     except SceneError as exc:
         print(f"{parser.prog}: scene error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.out}")

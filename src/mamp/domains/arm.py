@@ -3,9 +3,12 @@
 Each agent is a revolute chain anchored at a base point. A configuration is
 a vector of joint indices; joint angle = index * resolution. Motion
 primitives rotate exactly one joint by one lattice step (or wait). Links
-are capsules of a shared radius (``thickness``); validity of a motion is
-decided by sampling interpolated configurations at a declared sub-step
-density (``substeps`` per joint step).
+are capsules of a shared radius (``thickness``), and so are obstacles: a
+segment is a capsule of that radius, a disc a zero-length capsule of radius
+``thickness + r``. One distance function, ``_seg_seg_dist2``, serves links,
+segments and discs. Validity of a motion is decided by sampling
+interpolated configurations at a declared sub-step density (``substeps``
+per joint step).
 
 Every motion test, of one arm against the scene and itself or of a pair of
 arms, is one conservative-advancement walk over the moving arms' interior
@@ -50,22 +53,28 @@ class ArmSpec:
     limits: tuple[tuple[int, int], ...]  # inclusive index range per joint
 
     def __post_init__(self):
+        if not self.link_lengths:
+            raise ValueError("an arm needs at least one link")
+        if not all(map(math.isfinite, self.base)):
+            raise ValueError(f"arm base must be finite, got {self.base}")
         if not all(0 < v < math.inf for v in self.link_lengths):
-            raise ValueError(f"link lengths {self.link_lengths} must be positive and finite")
+            raise ValueError(f"link lengths must be positive and finite, got {self.link_lengths}")
         if not 0 < self.resolution < math.inf:
-            raise ValueError(f"resolution {self.resolution} must be positive and finite")
+            raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
         if len(self.limits) != len(self.link_lengths):
             raise ValueError(f"{len(self.limits)} joint limit pairs for "
                              f"{len(self.link_lengths)} links")
         if any(lo > hi for lo, hi in self.limits):
-            raise ValueError(f"joint limits {self.limits} must have lo <= hi")
-        try:  # the largest sum of squared joint distances that the heuristic takes
+            raise ValueError(f"joint limits must have lo <= hi, got {self.limits}")
+        try:  # the widest joint angle, and the largest sum of squared joint
+            # distances that the heuristic takes
+            widest = max(abs(v) for pair in self.limits for v in pair) * self.resolution
             square = sum(w * w for w in [(hi - lo) * self.resolution for lo, hi in self.limits])
         except OverflowError:  # a limit past the float range
-            square = math.inf
-        if not math.isfinite(square):
+            widest = square = math.inf
+        if not (math.isfinite(widest) and math.isfinite(square)):
             raise ValueError(f"joint limits {self.limits} times resolution {self.resolution} "
-                             "overflow the squared joint distance")
+                             "overflow the joint angle or the squared joint distance")
 
     @property
     def reach(self) -> float:
@@ -94,7 +103,7 @@ class Disc:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"disc {self} must have finite coordinates")
         if not 0 <= self.r < math.inf:
-            raise ValueError(f"disc radius {self.r} must be finite and >= 0")
+            raise ValueError(f"disc radius must be >= 0 and finite, got {self.r}")
 
 
 _CONTACT = -1.0  # the clearance of bodies in contact
@@ -147,18 +156,6 @@ def _seg_seg_dist2(p1: Point, q1: Point, p2: Point, q2: Point) -> float:
     return cx * cx + cy * cy
 
 
-def _pt_seg_dist2(p: Point, a: Point, b: Point) -> float:
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    denom = abx * abx + aby * aby
-    if denom <= 1e-18:
-        return apx * apx + apy * apy
-    t = min(max((apx * abx + apy * aby) / denom, 0.0), 1.0)
-    dx = apx - abx * t
-    dy = apy - aby * t
-    return dx * dx + dy * dy
-
-
 def _chain(arm: ArmSpec, thetas) -> tuple[Point, ...]:
     """Capsule chain [base, joint1, ..., jointK] at the given joint angles:
     joint i+1 = joint i + L_i * (cos sum(theta), sin sum(theta))."""
@@ -193,6 +190,12 @@ class ArmDomain(LatticeDomain):
         super().__init__(cache)
         self.arms = list(arms)
         self.obstacles = list(obstacles)
+        # each obstacle as a capsule (end, end, lim) that a link touches when
+        # its centre segment comes within lim: a segment with the links'
+        # radius, a disc a zero-length one with the links' radius plus its own
+        self._capsules = [((ob.ax, ob.ay), (ob.bx, ob.by), thickness) if isinstance(ob, Segment)
+                          else ((ob.x, ob.y), (ob.x, ob.y), thickness + ob.r)
+                          for ob in self.obstacles]
         self.thickness = thickness
         self.substeps = substeps
         self._fk_cache: dict[tuple[int, Config], tuple[Point, ...]] = {}
@@ -262,28 +265,19 @@ class ArmDomain(LatticeDomain):
         return max(math.sqrt(best) - r, 0.0)
 
     def _body_gap(self, chain) -> float:
-        """Clearance of one arm body: the least of its self-clearance, its
-        distance to each segment less thickness and to each disc less
-        thickness + radius; ``_CONTACT`` on contact."""
+        """Clearance of one arm body: the least of its self-clearance and its
+        distance to each obstacle capsule less the capsule's radius;
+        ``_CONTACT`` on contact."""
         gap = self._chains_gap(chain, chain, self._self_rows[len(chain)])
         if gap < 0.0:
             return _CONTACT
-        t = self.thickness
-        r2_seg = t * t
         for a in range(len(chain) - 1):
             p, q = chain[a], chain[a + 1]
-            for ob in self.obstacles:
-                if isinstance(ob, Segment):
-                    d2 = _seg_seg_dist2(p, q, (ob.ax, ob.ay), (ob.bx, ob.by))
-                    if d2 <= r2_seg:
-                        return _CONTACT
-                    gap = min(gap, math.sqrt(d2) - t)
-                else:
-                    lim = t + ob.r
-                    d2 = _pt_seg_dist2((ob.x, ob.y), p, q)
-                    if d2 <= lim * lim:
-                        return _CONTACT
-                    gap = min(gap, math.sqrt(d2) - lim)
+            for u, v, lim in self._capsules:
+                d2 = _seg_seg_dist2(p, q, u, v)
+                if d2 <= lim * lim:
+                    return _CONTACT
+                gap = min(gap, math.sqrt(d2) - lim)
         return max(gap, 0.0)
 
     def _check_state(self, agent: int, q: Config) -> bool:

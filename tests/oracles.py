@@ -10,7 +10,20 @@ from __future__ import annotations
 from collections import deque
 
 from mamp.core import ConstraintIndex, step_collides
-from mamp.domains.arm import Segment, _chain, _pt_seg_dist2, _seg_seg_dist2
+from mamp.domains.arm import Segment, _chain, _seg_seg_dist2
+
+
+def _pt_seg_dist2(p, a, b):
+    """Squared distance from point p to segment [a, b]."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    denom = abx * abx + aby * aby
+    if denom <= 1e-18:
+        return apx * apx + apy * apy
+    t = min(max((apx * abx + apy * aby) / denom, 0.0), 1.0)
+    dx = apx - abx * t
+    dy = apy - aby * t
+    return dx * dx + dy * dy
 
 
 def grid_bfs_cost(domain, start, goal):

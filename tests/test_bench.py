@@ -324,6 +324,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "scene error" in err and "line 3" in err
 
+    def test_non_utf8_scene_exits_2(self, tmp_path, capsys):
+        scene = tmp_path / "utf16.scene"
+        scene.write_bytes(b"\xff\xfe\x00d\x00o\x00m\x00a\x00i\x00n")
+        out = tmp_path / "out.csv"
+        assert main(["--scene", str(scene), "--planners", "cbs", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mamp-bench: scene error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layout", ["out-is-directory", "out-dir-missing",
+                                        "dump-dir-is-file"])
+    def test_unwritable_output_exits_1_before_planning(self, tmp_path, capsys, layout):
+        scene = tmp_path / "mini.scene"
+        scene.write_text(GRID_DOC)
+        out, extra = tmp_path / "out.csv", []
+        if layout == "out-is-directory":
+            out.mkdir()
+        elif layout == "out-dir-missing":
+            out = tmp_path / "missing" / "out.csv"
+        else:
+            (tmp_path / "dumps").write_text("not a directory\n")
+            extra = ["--dump-paths", str(tmp_path / "dumps")]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--scene", str(scene), "--planners", "cbs",
+                     "--out", str(out), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mamp-bench: error: ")
+        assert captured.err.count("\n") == 1
+        assert "summary" not in captured.out  # rejected before any planning
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_arm_resolution_zero_exits_2(self, tmp_path, capsys):
         scene = tmp_path / "arm.scene"
         scene.write_text(ARM_DOC.replace("resolution 0.196349541",

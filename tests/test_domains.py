@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mamp import (ArmDomain, ArmSpec, Constraint, Disc, GridDomain, Path,
@@ -11,8 +11,8 @@ from mamp.domains.arm import _CONTACT, _chain, _seg_seg_dist2
 from mamp.domains.base import LatticeDomain
 
 from corpus import one_joint_arm, two_link_arm_pair
-from oracles import (dense_edge_valid, sampled_edge_valid, sampled_pair_collision,
-                     step_conflicts)
+from oracles import (_pt_seg_dist2, dense_edge_valid, sampled_edge_valid,
+                     sampled_pair_collision, step_conflicts)
 
 RES = math.pi / 16
 
@@ -184,13 +184,47 @@ class TestArmInputs:
         lambda: ArmSpec((0.0, 0.0), (1.0,), 1e300, ((-16, 16),)),
         lambda: ArmSpec((0.0, 0.0), (1.0, 1.0), 3.5e152, ((-16, 16), (0, 32))),
         lambda: ArmSpec((0.0, 0.0), (1.0,), RES, ((-10 ** 400, 10 ** 400),)),
+        lambda: ArmSpec((0.0, 0.0), (), RES, ()),
+        lambda: ArmSpec((math.nan, 0.0), (0.5,), RES, ((-16, 16),)),
+        lambda: ArmSpec((0.0, math.inf), (0.5,), RES, ((-16, 16),)),
+        lambda: ArmSpec((0.0, 0.0), (1.0,), RES, ((10 ** 400, 10 ** 400),)),
     ], ids=["negative-radius", "infinite-radius", "nan-radius", "nan-disc-centre",
             "infinite-segment-end", "nan-segment-end", "inverted-limits",
             "limit-pairs-per-link", "squared-span-overflows", "summed-span-overflows",
-            "limit-past-float-range"])
+            "limit-past-float-range", "no-links", "nan-base", "infinite-base",
+            "angle-past-float-range"])
     def test_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+
+class TestObstacleCapsules:
+    """Obstacles are capsules of the one link distance kernel: a disc is a
+    zero-length capsule of radius thickness + r, a segment one of radius
+    thickness."""
+
+    coord = st.floats(-3.0, 3.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.tuples(coord, coord), length=st.floats(1e-9, 1.0),
+           angle=st.floats(-math.pi, math.pi), centre=st.tuples(coord, coord),
+           r=st.floats(0.0, 0.5), seg=st.tuples(coord, coord, coord, coord),
+           t=st.sampled_from([0.0, 0.01, 0.04]))
+    def test_one_link_gap_matches_reference(self, base, length, angle, centre, r, seg, t):
+        arm = ArmSpec(base, (length,), RES, ((-16, 16),))
+        chain = _chain(arm, [angle])
+        assume(all(abs(v) <= 3.0 for v in chain[1]))
+        # disc: the point-segment reference, up to rounding near tangency
+        ref = math.sqrt(_pt_seg_dist2(centre, *chain)) - (t + r)
+        gap = ArmDomain([arm], [Disc(*centre, r)], thickness=t)._body_gap(chain)
+        if abs(ref) > 1e-9:
+            assert (gap < 0.0) == (ref < 0.0)
+        if gap >= 0.0:
+            assert abs(gap - max(ref, 0.0)) <= 1e-9
+        # segment: exactly the kernel's clearance
+        d2 = _seg_seg_dist2(*chain, seg[:2], seg[2:])
+        gap = ArmDomain([arm], [Segment(*seg)], thickness=t)._body_gap(chain)
+        assert gap == (_CONTACT if d2 <= t * t else max(math.sqrt(d2) - t, 0.0))
 
 
 class TestArmValidity:

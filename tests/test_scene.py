@@ -125,7 +125,7 @@ class TestParsing:
         (lambda d: d.replace("base -1 0", "base -1 -nan"), "decimal '-nan'"),
         (lambda d: d.replace("limits -16 16 -16 16", f"limits -{BIG} {BIG} "
                              f"-{BIG} {BIG}", 1).replace("start 0 0", f"start {BIG} 0"),
-         "line 6: bad arm descriptor"),
+         "line 6: joint.*overflow"),
         (lambda d: d.replace("resolution 0.196349541 limits -16 16 -16 16",
                              f"resolution 1e10 limits -{BIG[:301]} {BIG[:301]}"
                              " -16 16", 1), "line 6: joint limits"),
