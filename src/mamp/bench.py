@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from .core import Path, Solution
 from .domains import ArmSpec, Segment
+from .domains.arm import MAX_COORD
 from .highlevel import PlannerConfig, certify, run_planner
 from .postprocess import shortcut_solution
 from .scene import Scene, SceneError, parse_scene, quantize, serialize_scene
@@ -279,10 +280,10 @@ def generate_scene(kind: str, n: int = 2, seed: int = 0, obstacle=None,
         raise ValueError("resolution must be positive and finite")
     if not (thickness >= 0 and math.isfinite(thickness)):
         raise ValueError("thickness must be finite and >= 0")
-    if not (link_length > 0 and math.isfinite(link_length)):
-        raise ValueError("link_length must be positive and finite")
-    if radius is not None and not (radius >= 0 and math.isfinite(radius)):
-        raise ValueError("radius must be finite and >= 0")
+    if not 0 < link_length <= MAX_COORD:
+        raise ValueError(f"link_length must be in (0, {MAX_COORD:g}]")
+    if radius is not None and not 0 <= radius <= MAX_COORD:
+        raise ValueError(f"radius must be in [0, {MAX_COORD:g}]")
     if not 0 <= obstacle_p <= 1:
         raise ValueError("obstacle_p must be in [0, 1]")
     rng = random.Random(seed)

@@ -44,6 +44,11 @@ from .base import LatticeDomain
 
 Point = tuple[float, float]
 
+# The largest magnitude of a scene coordinate or length. Inside it the
+# distance kernel is within 1e-11 of exact arithmetic; its error grows about
+# linearly with them, to 5e-10 at 1e6 and 2e-4 at 1e12.
+MAX_COORD = 1e4
+
 
 @dataclass(frozen=True)
 class ArmSpec:
@@ -55,10 +60,11 @@ class ArmSpec:
     def __post_init__(self):
         if not self.link_lengths:
             raise ValueError("an arm needs at least one link")
-        if not all(map(math.isfinite, self.base)):
-            raise ValueError(f"arm base must be finite, got {self.base}")
-        if not all(0 < v < math.inf for v in self.link_lengths):
-            raise ValueError(f"link lengths must be positive and finite, got {self.link_lengths}")
+        if not all(abs(v) <= MAX_COORD for v in self.base):
+            raise ValueError(f"arm base {self.base} must lie in [-{MAX_COORD:g}, {MAX_COORD:g}]")
+        if not all(0 < v <= MAX_COORD for v in self.link_lengths):
+            raise ValueError(f"link lengths must be positive and <= {MAX_COORD:g}, "
+                             f"got {self.link_lengths}")
         if not 0 < self.resolution < math.inf:
             raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
         if len(self.limits) != len(self.link_lengths):
@@ -89,8 +95,8 @@ class Segment:
     by: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.ax, self.ay, self.bx, self.by))):
-            raise ValueError(f"segment {self} must have finite coordinates")
+        if not all(abs(v) <= MAX_COORD for v in (self.ax, self.ay, self.bx, self.by)):
+            raise ValueError(f"segment {self} must lie in [-{MAX_COORD:g}, {MAX_COORD:g}]")
 
 
 @dataclass(frozen=True)
@@ -100,10 +106,10 @@ class Disc:
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"disc {self} must have finite coordinates")
-        if not 0 <= self.r < math.inf:
-            raise ValueError(f"disc radius must be >= 0 and finite, got {self.r}")
+        if not (abs(self.x) <= MAX_COORD and abs(self.y) <= MAX_COORD):
+            raise ValueError(f"disc {self} must lie in [-{MAX_COORD:g}, {MAX_COORD:g}]")
+        if not 0 <= self.r <= MAX_COORD:
+            raise ValueError(f"disc radius must be >= 0 and <= {MAX_COORD:g}, got {self.r}")
 
 
 _CONTACT = -1.0  # the clearance of bodies in contact
@@ -121,39 +127,43 @@ def _reach(gap: float, per: float, total: int) -> int:
 
 
 def _seg_seg_dist2(p1: Point, q1: Point, p2: Point, q2: Point) -> float:
-    """Squared distance between segments [p1,q1] and [p2,q2]."""
-    d1x, d1y = q1[0] - p1[0], q1[1] - p1[1]
-    d2x, d2y = q2[0] - p2[0], q2[1] - p2[1]
-    rx, ry = p1[0] - p2[0], p1[1] - p2[1]
-    a = d1x * d1x + d1y * d1y
-    e = d2x * d2x + d2y * d2y
-    f = d2x * rx + d2y * ry
-    if a <= 1e-18 and e <= 1e-18:
-        return rx * rx + ry * ry
-    if a <= 1e-18:
-        s = 0.0
-        t = min(max(f / e, 0.0), 1.0)
-    else:
-        c = d1x * rx + d1y * ry
-        if e <= 1e-18:
-            t = 0.0
-            s = min(max(-c / a, 0.0), 1.0)
-        else:
-            b = d1x * d2x + d1y * d2y
-            denom = a * e - b * b
-            s = min(max((b * f - c * e) / denom, 0.0), 1.0) if denom > 1e-18 else 0.0
-            tn = b * s + f
-            if tn < 0.0:
-                t = 0.0
-                s = min(max(-c / a, 0.0), 1.0)
-            elif tn > e:
-                t = 1.0
-                s = min(max((b - c) / a, 0.0), 1.0)
-            else:
-                t = tn / e
-    cx = p1[0] + d1x * s - (p2[0] + d2x * t)
-    cy = p1[1] + d1y * s - (p2[1] + d2y * t)
-    return cx * cx + cy * cy
+    """Squared distance between segments [p1,q1] and [p2,q2]: zero if they
+    cross, else the least distance from an end of one to the other (in the
+    plane, two segments that do not cross are nearest at an end). Unlike a
+    closest-pair solve, no step divides by the sine of the angle between
+    the segments, so nearly parallel segments are exact up to rounding."""
+    ux, uy = q1[0] - p1[0], q1[1] - p1[1]
+    vx, vy = q2[0] - p2[0], q2[1] - p2[1]
+    ax, ay = p1[0] - p2[0], p1[1] - p2[1]  # p1 from p2; p2 from p1 is (-ax, -ay)
+    bx, by = q1[0] - p2[0], q1[1] - p2[1]  # q1 from p2
+    cx, cy = q2[0] - p1[0], q2[1] - p1[1]  # q2 from p1
+    if ((vx * ay - vy * ax) * (vx * by - vy * bx) < 0.0
+            and (uy * ax - ux * ay) * (ux * cy - uy * cx) < 0.0):
+        return 0.0  # each segment's ends lie strictly on both sides of the other
+    # The four end-to-segment distances, unrolled: a helper call or a loop
+    # per end costs a quarter more per call, and an arm query makes thousands.
+    vv, uu = vx * vx + vy * vy, ux * ux + uy * uy
+    t = (ax * vx + ay * vy) / vv if vv > 0.0 else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    ex, ey = ax - vx * t, ay - vy * t
+    best = ex * ex + ey * ey
+    t = (bx * vx + by * vy) / vv if vv > 0.0 else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    ex, ey = bx - vx * t, by - vy * t
+    d = ex * ex + ey * ey
+    if d < best:
+        best = d
+    t = -(ax * ux + ay * uy) / uu if uu > 0.0 else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    ex, ey = -ax - ux * t, -ay - uy * t
+    d = ex * ex + ey * ey
+    if d < best:
+        best = d
+    t = (cx * ux + cy * uy) / uu if uu > 0.0 else 0.0
+    t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+    ex, ey = cx - ux * t, cy - uy * t
+    d = ex * ex + ey * ey
+    return d if d < best else best
 
 
 def _chain(arm: ArmSpec, thetas) -> tuple[Point, ...]:
@@ -242,10 +252,6 @@ class ArmDomain(LatticeDomain):
 
     # -- static geometry ----------------------------------------------------
 
-    def _within_limits(self, agent: int, q: Config) -> bool:
-        limits = self.arms[agent].limits
-        return len(q) == len(limits) and all(lo <= v <= hi for v, (lo, hi) in zip(q, limits))
-
     def _chains_gap(self, chain_a, chain_b, rows) -> float:
         """Clearance of two link chains, of two arms or of one arm with
         itself, over the link pairs of a reach table: their least distance
@@ -281,7 +287,7 @@ class ArmDomain(LatticeDomain):
         return max(gap, 0.0)
 
     def _check_state(self, agent: int, q: Config) -> bool:
-        if not self._within_limits(agent, q):
+        if not self.in_bounds(agent, q):
             return False
         self.stats.geometry_checks += 1
         gap = self._body_gap(self.chain(agent, q))
@@ -362,19 +368,8 @@ class ArmDomain(LatticeDomain):
 
     # -- lattice structure ------------------------------------------------------
 
-    def _moves(self, agent: int, q: Config) -> list[Config]:
-        out = []
-        limits = self.arms[agent].limits
-        for ji in range(len(q)):
-            lo, hi = limits[ji]
-            for d in (1, -1):
-                v = q[ji] + d
-                if lo <= v <= hi:
-                    out.append(q[:ji] + (v,) + q[ji + 1:])
-        return out
-
-    def is_lattice_edge(self, agent: int, q: Config, q2: Config) -> bool:
-        return sum(abs(a - b) for a, b in zip(q, q2)) <= 1
+    def bounds(self, agent: int) -> tuple[tuple[int, int], ...]:
+        return self.arms[agent].limits
 
     def heuristic(self, agent: int, q: Config, goal: Config) -> float:
         """L2 joint-angle distance in radians, normalized by the largest
@@ -383,17 +378,6 @@ class ArmDomain(LatticeDomain):
         res = self.arms[agent].resolution
         rad = math.sqrt(sum(((a - b) * res) ** 2 for a, b in zip(q, goal)))
         return rad / res
-
-    def num_vertices(self, agent: int) -> int:
-        total = 1
-        for lo, hi in self.arms[agent].limits:
-            total *= hi - lo + 1
-            if total > 1_000_000:
-                return 1_000_000
-        return total
-
-    def max_degree(self, agent: int) -> int:
-        return 2 * len(self.arms[agent].link_lengths) + 1
 
     def motion_cost_path(self, agent: int, waypoints) -> float:
         """Total joint motion in radians along a waypoint sequence."""

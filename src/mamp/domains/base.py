@@ -1,5 +1,7 @@
-"""Shared domain plumbing: validity caching, geometry counters,
-constraint-aware successor expansion and per-replan conflict counting.
+"""Shared domain plumbing: the integer lattice, validity caching, geometry
+counters, constraint-aware successor expansion and per-replan conflict
+counting. A domain supplies `bounds`, the `_check_*` geometry, `heuristic`
+and `motion_cost_path`, and optionally `_cache_agent` and `step_conflicts`.
 
 Each per-step question has one answer here. `step_valid` is the static
 legality of one timestep (a wait, or a move to a valid configuration along
@@ -19,6 +21,8 @@ insertion; re-inserting an existing key with the same verdict is a no-op.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from ..core import Config, ConstraintIndex, step_collides
@@ -46,11 +50,13 @@ class DomainStats:
 
 
 class LatticeDomain:
-    """Base class for concrete state spaces.
+    """Base class for concrete state spaces, all of them integer lattices.
 
-    Subclasses provide the raw geometry (`_check_state`, `_check_edge`,
-    `_check_pairwise`, `_moves`) and this class layers caching, memoization
-    and counting on top.
+    Subclasses provide the coordinate ranges (`bounds`), the raw geometry
+    (`_check_*`), `heuristic` and `motion_cost_path`, and may override
+    `_cache_agent` and `step_conflicts`. From `bounds` this class states the
+    bounds test, the unit moves, the lattice-edge test, the vertex count and
+    the degree; on top it layers caching, memoization and counting.
     """
 
     def __init__(self, cache: bool = True):
@@ -68,7 +74,8 @@ class LatticeDomain:
         """Cache partition key; homogeneous-agent domains may collapse it."""
         return agent
 
-    def _moves(self, agent: int, q: Config) -> list[Config]:
+    def bounds(self, agent: int) -> tuple[tuple[int, int], ...]:
+        """Inclusive (lo, hi) range of each coordinate of ``agent``."""
         raise NotImplementedError
 
     def _check_state(self, agent: int, q: Config) -> bool:
@@ -81,20 +88,35 @@ class LatticeDomain:
                         j: int, qj0: Config, qj1: Config) -> bool:
         raise NotImplementedError
 
-    def is_lattice_edge(self, agent: int, q: Config, q2: Config) -> bool:
-        raise NotImplementedError
-
     def heuristic(self, agent: int, q: Config, goal: Config) -> float:
-        raise NotImplementedError
-
-    def num_vertices(self, agent: int) -> int:
-        raise NotImplementedError
-
-    def max_degree(self, agent: int) -> int:
         raise NotImplementedError
 
     def motion_cost_path(self, agent: int, waypoints) -> float:
         raise NotImplementedError
+
+    # -- lattice -----------------------------------------------------------
+
+    def in_bounds(self, agent: int, q: Config) -> bool:
+        bounds = self.bounds(agent)
+        for v, (lo, hi) in zip(q, bounds):  # a loop costs half of all() over a genexpr
+            if not lo <= v <= hi:
+                return False
+        return len(q) == len(bounds)
+
+    def _moves(self, agent: int, q: Config) -> list[Config]:
+        """Unit moves from q: each coordinate by +1, then -1, within range."""
+        return [q[:k] + (v,) + q[k + 1:] for k, (lo, hi) in enumerate(self.bounds(agent))
+                for v in (q[k] + 1, q[k] - 1) if lo <= v <= hi]
+
+    def is_lattice_edge(self, agent: int, q: Config, q2: Config) -> bool:
+        """A wait or one unit move: L1 distance <= 1, in exact integers."""
+        return sum(map(abs, map(operator.sub, q, q2))) <= 1
+
+    def num_vertices(self, agent: int) -> int:
+        return math.prod(hi - lo + 1 for lo, hi in self.bounds(agent))
+
+    def max_degree(self, agent: int) -> int:
+        return 2 * len(self.bounds(agent)) + 1
 
     # -- cached queries ----------------------------------------------------
 

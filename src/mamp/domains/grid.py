@@ -5,8 +5,6 @@ from __future__ import annotations
 from ..core import Config
 from .base import LatticeDomain
 
-_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
 
 class GridDomain(LatticeDomain):
     """Agents are points occupying one cell each; '#' cells are blocked.
@@ -22,29 +20,27 @@ class GridDomain(LatticeDomain):
         super().__init__(cache)
         self.width = width
         self.height = height
-        self.blocked = frozenset(tuple(b) for b in blocked)
+        self._bounds = ((0, width - 1), (0, height - 1))
+        # only in-bounds cells, so that each one removes a vertex
+        self.blocked = frozenset(b for b in map(tuple, blocked) if self.in_bounds(0, b))
 
     def _cache_agent(self, agent: int) -> int:
         return 0  # all agents share one body model
 
-    def in_bounds(self, q: Config) -> bool:
-        return 0 <= q[0] < self.width and 0 <= q[1] < self.height
-
-    def _moves(self, agent: int, q: Config) -> list[Config]:
-        x, y = q
-        return [(x + dx, y + dy) for dx, dy in _MOVES
-                if self.in_bounds((x + dx, y + dy))]
+    def bounds(self, agent: int) -> tuple[tuple[int, int], ...]:
+        return self._bounds
 
     def _check_state(self, agent: int, q: Config) -> bool:
         self.stats.geometry_checks += 1
-        return len(q) == 2 and self.in_bounds(q) and q not in self.blocked
+        return self.in_bounds(agent, q) and q not in self.blocked
 
     def _check_edge(self, agent: int, q: Config, q2: Config) -> bool:
-        if not self.is_lattice_edge(agent, q, q2):
-            return False
-        return self.is_state_valid(agent, q) and self.is_state_valid(agent, q2)
+        return (self.is_lattice_edge(agent, q, q2) and self.is_state_valid(agent, q)
+                and self.is_state_valid(agent, q2))
 
     def is_lattice_edge(self, agent: int, q: Config, q2: Config) -> bool:
+        # the base rule unrolled for two coordinates: the experience walk
+        # asks it thousands of times per query, at a fifth of the cost
         return abs(q[0] - q2[0]) + abs(q[1] - q2[1]) <= 1
 
     def _check_pairwise(self, i, qi0, qi1, j, qj0, qj1) -> bool:
@@ -82,10 +78,7 @@ class GridDomain(LatticeDomain):
         return abs(q[0] - goal[0]) + abs(q[1] - goal[1])
 
     def num_vertices(self, agent: int) -> int:
-        return self.width * self.height - sum(1 for b in self.blocked if self.in_bounds(b))
-
-    def max_degree(self, agent: int) -> int:
-        return 5
+        return super().num_vertices(agent) - len(self.blocked)
 
     def motion_cost_path(self, agent: int, waypoints) -> float:
         """Motion metric for grids: total moved cell distance (waits free)."""

@@ -105,6 +105,8 @@ def _parse_arm(parts: list[str], ln: int) -> ArmSpec:
         key = parts[i]
         if key not in keywords:
             raise SceneError(f"line {ln}: unexpected token {key!r} in arm descriptor")
+        if key in fields:
+            raise SceneError(f"line {ln}: arm keyword {key!r} given twice")
         i += 1
         vals = []
         while i < len(parts) and parts[i] not in keywords:
@@ -114,7 +116,7 @@ def _parse_arm(parts: list[str], ln: int) -> ArmSpec:
     try:
         bx, by = (_decimal(v) for v in fields["base"])
         links = tuple(_decimal(v) for v in fields["links"])
-        resolution = _decimal(fields["resolution"][0])
+        (resolution,) = (_decimal(v) for v in fields["resolution"])
         raw_limits = [int(v) for v in fields["limits"]]
     except (KeyError, ValueError) as exc:
         raise SceneError(f"line {ln}: bad arm descriptor ({exc})") from None

@@ -8,6 +8,7 @@ geometry predicates, which are the common ground truth.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 from mamp.core import ConstraintIndex, step_collides
 from mamp.domains.arm import Segment, _chain, _seg_seg_dist2
@@ -18,12 +19,41 @@ def _pt_seg_dist2(p, a, b):
     abx, aby = b[0] - a[0], b[1] - a[1]
     apx, apy = p[0] - a[0], p[1] - a[1]
     denom = abx * abx + aby * aby
-    if denom <= 1e-18:
+    if denom == 0.0:
         return apx * apx + apy * apy
     t = min(max((apx * abx + apy * aby) / denom, 0.0), 1.0)
     dx = apx - abx * t
     dy = apy - aby * t
     return dx * dx + dy * dy
+
+
+def exact_seg_seg_dist2(p1, q1, p2, q2) -> Fraction:
+    """Squared distance between segments [p1,q1] and [p2,q2] in exact
+    rational arithmetic: zero if they intersect, else the least distance
+    from an endpoint of one to the other segment."""
+    p1, q1, p2, q2 = (tuple(map(Fraction, v)) for v in (p1, q1, p2, q2))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def on(a, b, c):  # c on segment [a, b], given that the three are collinear
+        return min(a[0], b[0]) <= c[0] <= max(a[0], b[0]) and \
+            min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+
+    def pt_seg(c, a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        den = dx * dx + dy * dy
+        t = min(max(((c[0] - a[0]) * dx + (c[1] - a[1]) * dy) / den, 0), 1) if den else 0
+        ex, ey = a[0] + dx * t - c[0], a[1] + dy * t - c[1]
+        return ex * ex + ey * ey
+
+    d1, d2 = cross(p2, q2, p1), cross(p2, q2, q1)
+    d3, d4 = cross(p1, q1, p2), cross(p1, q1, q2)
+    if ((d1 > 0 > d2 or d1 < 0 < d2) and (d3 > 0 > d4 or d3 < 0 < d4)) or \
+            (d1 == 0 and on(p2, q2, p1)) or (d2 == 0 and on(p2, q2, q1)) or \
+            (d3 == 0 and on(p1, q1, p2)) or (d4 == 0 and on(p1, q1, q2)):
+        return Fraction(0)
+    return min(pt_seg(p1, p2, q2), pt_seg(q1, p2, q2), pt_seg(p2, p1, q1), pt_seg(q2, p1, q1))
 
 
 def grid_bfs_cost(domain, start, goal):

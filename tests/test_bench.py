@@ -300,12 +300,14 @@ class TestCli:
         ("circle-arms:walk=-5", "walk"),
         ("circle-arms:walk=0", "walk"),
         ("circle-arms:n=2,resolution=1e300", "resolution"),
+        ("circle-arms:link_length=1e5", "link_length"),
+        ("circle-arms:radius=1e5", "radius"),
     ], ids=["unknown-key", "links-0", "links-negative", "resolution-0",
             "resolution-inf", "thickness-nan", "thickness-negative",
             "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf",
             "obstacle-maybe", "retries", "n-not-int", "walk-not-int",
             "seed-not-int", "width-0", "height-negative", "walk-negative",
-            "walk-0", "resolution-overflows"])
+            "walk-0", "resolution-overflows", "link_length-too-long", "radius-too-far"])
     def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
         out = tmp_path / "out.csv"
         assert main(["--generate", generate, "--planners", "cbs",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 from mamp import (ArmDomain, ArmSpec, Constraint, Disc, GridDomain, Path,
                   Segment, forward_kinematics, get_successors)
 from mamp.core import ConstraintIndex
-from mamp.domains.arm import _CONTACT, _chain, _seg_seg_dist2
+from mamp.domains.arm import MAX_COORD, _CONTACT, _chain, _seg_seg_dist2
 from mamp.domains.base import LatticeDomain
 
 from corpus import one_joint_arm, two_link_arm_pair
-from oracles import (_pt_seg_dist2, dense_edge_valid, sampled_edge_valid,
-                     sampled_pair_collision, step_conflicts)
+from oracles import (_pt_seg_dist2, dense_edge_valid, exact_seg_seg_dist2,
+                     sampled_edge_valid, sampled_pair_collision, step_conflicts)
 
 RES = math.pi / 16
 
@@ -188,14 +189,53 @@ class TestArmInputs:
         lambda: ArmSpec((math.nan, 0.0), (0.5,), RES, ((-16, 16),)),
         lambda: ArmSpec((0.0, math.inf), (0.5,), RES, ((-16, 16),)),
         lambda: ArmSpec((0.0, 0.0), (1.0,), RES, ((10 ** 400, 10 ** 400),)),
+        lambda: Segment(-1e100, 0.2, 1e100, 0.2),
+        lambda: Disc(0.0, -1.5 * MAX_COORD, 0.1),
+        lambda: Disc(0.0, 0.0, 1.5 * MAX_COORD),
+        lambda: ArmSpec((1.5 * MAX_COORD, 0.0), (1.0,), RES, ((-16, 16),)),
+        lambda: ArmSpec((0.0, 0.0), (1.0, 1.5 * MAX_COORD), RES, ((-16, 16),) * 2),
     ], ids=["negative-radius", "infinite-radius", "nan-radius", "nan-disc-centre",
             "infinite-segment-end", "nan-segment-end", "inverted-limits",
             "limit-pairs-per-link", "squared-span-overflows", "summed-span-overflows",
             "limit-past-float-range", "no-links", "nan-base", "infinite-base",
-            "angle-past-float-range"])
+            "angle-past-float-range", "segment-past-max-coord", "disc-past-max-coord",
+            "radius-past-max-coord", "base-past-max-coord", "link-past-max-coord"])
     def test_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_max_coord_is_accepted(self):
+        Segment(-MAX_COORD, MAX_COORD, MAX_COORD, -MAX_COORD)
+        Disc(MAX_COORD, -MAX_COORD, MAX_COORD)
+        ArmSpec((MAX_COORD, -MAX_COORD), (MAX_COORD,), RES, ((-16, 16),))
+
+
+class TestDistanceKernel:
+    """`_seg_seg_dist2` against exact rational arithmetic, anywhere within
+    the scene magnitude bound."""
+
+    coord = st.floats(-MAX_COORD, MAX_COORD)
+    point = st.tuples(coord, coord)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(point, point, point, point)
+    def test_matches_exact_distance(self, p1, q1, p2, q2):
+        exact = math.sqrt(exact_seg_seg_dist2(p1, q1, p2, q2))
+        assert abs(math.sqrt(_seg_seg_dist2(p1, q1, p2, q2)) - exact) <= 1e-10
+
+    @pytest.mark.parametrize("segs", [
+        ((0.0, 1.25), (674.0, 0.0), (5934.0, 0.0), (1.5, 0.0)),
+        ((-3234.91648237625, -2549.416050814336), (-5659.582359947728, 4965.3033413311205),
+         (-3969.6717410245624, -272.20349063446383), (-4689.727782522389, 1959.4518820919607)),
+        ((3.1049797748225885, -1.9676511047433394), (3.1163307008290344, -1.9652430058327683),
+         (3.097081589964729, -1.9429910721095722), (3.1181262505281593, -1.938526526590356)),
+    ], ids=["touching-at-an-end", "nearly-parallel-long", "nearly-parallel-links"])
+    def test_nearly_parallel_segments(self, segs):
+        # a closest-pair solve divides by the squared sine of the angle
+        # between the segments, which puts it off by 3.6e-10, 5.9e-5 and
+        # 4.2e-8 on these three
+        exact = math.sqrt(exact_seg_seg_dist2(*segs))
+        assert abs(math.sqrt(_seg_seg_dist2(*segs)) - exact) <= 1e-12
 
 
 class TestObstacleCapsules:
@@ -362,6 +402,52 @@ class TestSuccessorTable:
                 d.stats.geometry_checks) == tuple(2 * v for v in once)
 
 
+def _lattice_domain(data):
+    """A random grid, with blocked cells in and out of bounds, or an
+    obstacle-free arm of 1-3 joints; and the blocked cells given."""
+    if data.draw(st.booleans()):
+        w, h = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        cell = st.tuples(st.integers(-2, w + 1), st.integers(-2, h + 1))
+        blocked = data.draw(st.lists(cell, max_size=12))
+        return GridDomain(w, h, blocked), set(blocked)
+    n = data.draw(st.integers(1, 3))
+    limits = data.draw(st.lists(st.tuples(st.integers(-4, 0), st.integers(0, 4)),
+                                min_size=n, max_size=n))
+    return ArmDomain([ArmSpec((0.0, 0.0), (0.3,) * n, RES, tuple(limits))]), set()
+
+
+class TestLattice:
+    """The base class states the lattice from `bounds` alone: unit moves,
+    the lattice-edge test, the bounds test, the vertex count, the degree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lattice_matches_brute_force(self, data):
+        d, blocked = _lattice_domain(data)
+        bounds = d.bounds(0)
+        near = st.tuples(*[st.integers(lo - 2, hi + 2) for lo, hi in bounds])
+        inside = st.tuples(*[st.integers(lo, hi) for lo, hi in bounds])
+        cells = list(itertools.product(*[range(lo, hi + 1) for lo, hi in bounds]))
+        q = data.draw(inside)
+        brute = {q}
+        for k in range(len(q)):
+            for step in (1, -1):
+                q2 = q[:k] + (q[k] + step,) + q[k + 1:]
+                if q2 in cells and d.step_valid(0, q, q2):
+                    brute.add(q2)
+        succ = d.successor_configs(0, q)
+        assert succ == tuple(sorted(brute))
+        assert len(succ) <= d.max_degree(0) == 2 * len(bounds) + 1
+        for _ in range(10):
+            a, b = data.draw(near), data.draw(near)
+            l1 = sum(abs(u - v) for u, v in zip(a, b))
+            assert d.is_lattice_edge(0, a, b) == LatticeDomain.is_lattice_edge(d, 0, a, b) \
+                == (l1 <= 1)
+            assert d.in_bounds(0, a) == (a in cells)
+        assert not d.in_bounds(0, q + (0,))
+        assert d.num_vertices(0) == len(set(cells) - blocked)
+
+
 class TestArmSuccessors:
     def test_lower_limit_clamps(self):
         d = one_joint_arm()
@@ -443,9 +529,10 @@ class TestPairwise:
 
 def _posed_arm_pair(data):
     """Two arms of 1-4 links with bases up to 2.6 apart, both translated by
-    up to 1e6, and a chain of each at random float angles (as the walk's
-    interpolated poses are)."""
-    dx, dy = data.draw(st.floats(-1e6, 1e6)), data.draw(st.floats(-1e6, 1e6))
+    up to the largest scene coordinate, and a chain of each at random float
+    angles (as the walk's interpolated poses are)."""
+    far = MAX_COORD - 2.6
+    dx, dy = data.draw(st.floats(-far, far)), data.draw(st.floats(-far, far))
     dist, heading = data.draw(st.floats(0.0, 2.6)), data.draw(st.floats(-math.pi, math.pi))
     arms, chains = [], []
     for base in ((dx, dy), (dx + dist * math.cos(heading), dy + dist * math.sin(heading))):

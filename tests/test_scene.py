@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mamp import (Disc, GridDomain, SceneError, generate_scene, parse_scene,
                   serialize_scene)
+from mamp.domains.arm import MAX_COORD
 from mamp.scene import Scene, format_decimal, quantize
 
 from mutations import mutated
@@ -133,6 +134,17 @@ class TestParsing:
         (lambda d: NEGATIVE_DISC_DOC, "line 2: disc radius must be >= 0"),
         (lambda d: d.replace("limits -16 16 -16 16", "limits -16 16 5 -5", 1),
          "line 6: joint limits must have lo <= hi"),
+        (lambda d: d.replace("resolution 0.196349541", "resolution 0.196349541 0.5", 1),
+         "line 6: bad arm descriptor"),
+        (lambda d: d.replace("limits -16 16 -16 16", "limits -16 16 -16 16 links 0.3", 1),
+         "line 6: arm keyword 'links' given twice"),
+        (lambda d: d.replace("obstacle segment 0 -0.2 0 0.2",
+                             "obstacle segment -1e100 0.2 1e100 0.2"), "line 4: segment"),
+        (lambda d: d.replace("disc 1.2 0.4 0.15", "disc 1.2 0.4 20000"),
+         "line 5: disc radius"),
+        (lambda d: d.replace("base -1 0", "base -10000.5 0"), "line 6: arm base"),
+        (lambda d: d.replace("links 0.4 0.4", "links 0.4 10000.5", 1),
+         "line 6: link lengths"),
     ])
     def test_arm_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
@@ -170,11 +182,11 @@ class TestParserFuzz:
             scene.validate()
         except SceneError:
             return
-        decimals = [scene.thickness] + [
-            v for ob in scene.obstacles for v in dataclasses.astuple(ob)] + [
-            v for arm in scene.arms
-            for v in (*arm.base, *arm.link_lengths, arm.resolution)]
-        assert all(math.isfinite(v) for v in decimals)
+        geometry = [v for ob in scene.obstacles for v in dataclasses.astuple(ob)] + [
+            v for arm in scene.arms for v in (*arm.base, *arm.link_lengths)]
+        assert all(abs(v) <= MAX_COORD for v in geometry)
+        assert all(math.isfinite(v) for v in [scene.thickness]
+                   + [arm.resolution for arm in scene.arms])
         assert scene.thickness >= 0 and scene.substeps >= 1
         assert all(arm.resolution > 0 for arm in scene.arms)
         assert all(v > 0 for arm in scene.arms for v in arm.link_lengths)

@@ -4,13 +4,14 @@ checkouts of mamp line by line.
     python3 tools/query_records.py --workload arm-focal --timeout 3 > records.jsonl
 
 Runs every query of the workload (perfbench/workloads.py) once, in order,
-with the workload's timeout replaced by ``--timeout``, on a fresh domain
-built from this checkout's ``src``, then shortcuts each solution. Prints one
-JSON line per query: its key (generator seed and planner), status, cost,
-lower bound, CT and LL expansions, ``collision_checks``, and sha256 digests
-of the paths and of the shortcut paths. Run it in two checkouts and
-``diff`` the outputs; a query that ends near the timeout may finish on one
-side only.
+with the workload's timeout replaced by ``--timeout``, through the
+benchmark's own ``run_query`` on a fresh domain built from this checkout's
+``src``. Prints one JSON line per query: its key (generator seed and
+planner), the benchmark's ``output_record`` (status, expansions,
+``collision_checks`` and, when solved, the costs as the ``mamp-bench`` CSV
+formats them), the lower bound, and sha256 digests of the paths and of the
+shortcut paths. Run it in two checkouts and ``diff`` the outputs; a query
+that ends near the timeout may finish on one side only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-import mamp  # noqa: E402
+from run import output_record, query_key, run_query  # noqa: E402
 from workloads import WORKLOADS, build_workload  # noqa: E402
 
 
@@ -45,15 +46,11 @@ def main(argv=None) -> int:
     workload = build_workload(args.workload)
     for kept, planner in workload.queries:
         config = dataclasses.replace(workload.planners[planner], timeout=args.timeout)
-        domain = kept.scene.build_domain()
-        result = mamp.run_planner(domain, kept.scene.starts, kept.scene.goals, config)
-        post = mamp.shortcut_solution(result.solution, domain)[0] if result.success else None
+        domain, result, post, _ = run_query(kept.scene, config)
         print(json.dumps({
-            "key": f"{kept.seed}:{planner}", "status": result.status, "cost": result.cost,
-            "lb": result.lb, "ct_expansions": result.ct_expansions,
-            "ll_expansions": result.ll_expansions,
-            "collision_checks": result.collision_checks,
-            "paths": paths_digest(result.solution), "shortcut": paths_digest(post),
+            "key": query_key(kept, planner), **output_record(domain, result, post),
+            "lb": result.lb, "paths": paths_digest(result.solution),
+            "shortcut": paths_digest(post),
         }), flush=True)
     return 0
 
