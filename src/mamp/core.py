@@ -125,6 +125,14 @@ def path_cost(path: Path) -> int:
     return t
 
 
+def first_change(old: Path, new: Path) -> int:
+    """The first timestep at which two paths' waypoints differ, capped at
+    the shorter path's last index; before it their waypoints agree."""
+    wo, wn = old.waypoints, new.waypoints
+    cap = min(len(wo), len(wn)) - 1
+    return next((t for t in range(cap) if wo[t] != wn[t]), cap)
+
+
 def step_collides(domain: PairwiseChecker, i: int, qi0: Config, qi1: Config,
                   j: int, qj0: Config, qj1: Config) -> bool:
     """The per-timestep collision rule: agents i and j collide over one step
@@ -136,19 +144,22 @@ def step_collides(domain: PairwiseChecker, i: int, qi0: Config, qi1: Config,
 
 
 def _pair_conflicts(paths: Sequence[Path], domain: PairwiseChecker,
-                    i: int, j: int) -> list[Conflict]:
-    pi, pj = paths[i], paths[j]
-    horizon = max(pi.duration, pj.duration)
+                    i: int, j: int, since: int = 0) -> list[Conflict]:
+    """Conflicts of agents i and j that arrive at timestep ``since`` or
+    later: vertex conflicts at t >= since and edge conflicts into such t."""
+    wi, wj = paths[i].waypoints, paths[j].waypoints
+    n = max(len(wi), len(wj))  # the later path end, then both are parked
+    wi += wi[-1:] * (n - len(wi))
+    wj += wj[-1:] * (n - len(wj))
+    qi, qj = wi[max(since - 1, 0)], wj[max(since - 1, 0)]
     found = []
-    for t in range(horizon + 1):
-        qi, qj = pi.at(t), pj.at(t)
-        if domain.pairwise_collision(i, qi, qi, j, qj, qj):
-            found.append(Conflict(VERTEX, (i, j), t, ((qi, qi), (qj, qj))))
-        if t < horizon:
-            qi2, qj2 = pi.at(t + 1), pj.at(t + 1)
-            moving = qi2 != qi or qj2 != qj
-            if moving and domain.pairwise_collision(i, qi, qi2, j, qj, qj2):
-                found.append(Conflict(EDGE, (i, j), t, ((qi, qi2), (qj, qj2))))
+    for t in range(since, n):
+        qi2, qj2 = wi[t], wj[t]
+        if domain.pairwise_collision(i, qi2, qi2, j, qj2, qj2):
+            found.append(Conflict(VERTEX, (i, j), t, ((qi2, qi2), (qj2, qj2))))
+        if (qi2 != qi or qj2 != qj) and domain.pairwise_collision(i, qi, qi2, j, qj, qj2):
+            found.append(Conflict(EDGE, (i, j), t - 1, ((qi, qi2), (qj, qj2))))
+        qi, qj = qi2, qj2
     return found
 
 
@@ -172,15 +183,17 @@ def detect_conflicts(paths: Sequence[Path], domain: PairwiseChecker) -> list[Con
 
 
 def conflicts_with_agent(paths: Sequence[Path], domain: PairwiseChecker,
-                         agent: int) -> list[Conflict]:
-    """Conflicts of the pairs involving ``agent`` only (for incremental
-    recomputation after a single-agent replan)."""
+                         agent: int, since: int) -> list[Conflict]:
+    """Conflicts of the pairs involving ``agent`` only that arrive at
+    timestep ``since`` or later (an edge conflict at t arrives at t + 1),
+    for incremental recomputation after a single-agent replan that kept the
+    agent's waypoints before ``since``."""
     out: list[Conflict] = []
     for j in range(len(paths)):
         if j == agent:
             continue
         i, k = min(agent, j), max(agent, j)
-        out.extend(_pair_conflicts(paths, domain, i, k))
+        out.extend(_pair_conflicts(paths, domain, i, k, since))
     return out
 
 

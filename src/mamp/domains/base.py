@@ -104,9 +104,16 @@ class LatticeDomain:
         return len(q) == len(bounds)
 
     def _moves(self, agent: int, q: Config) -> list[Config]:
-        """Unit moves from q: each coordinate by +1, then -1, within range."""
-        return [q[:k] + (v,) + q[k + 1:] for k, (lo, hi) in enumerate(self.bounds(agent))
-                for v in (q[k] + 1, q[k] - 1) if lo <= v <= hi]
+        """Unit moves from an in-range q: each coordinate by +1, then -1,
+        within range."""
+        out = []
+        for k, (lo, hi) in enumerate(self.bounds(agent)):  # a loop beats a comprehension
+            v = q[k]
+            if v < hi:
+                out.append(q[:k] + (v + 1,) + q[k + 1:])
+            if v > lo:
+                out.append(q[:k] + (v - 1,) + q[k + 1:])
+        return out
 
     def is_lattice_edge(self, agent: int, q: Config, q2: Config) -> bool:
         """A wait or one unit move: L1 distance <= 1, in exact integers."""

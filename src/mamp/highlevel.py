@@ -35,9 +35,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .core import (Conflict, Constraint, ConstraintIndex, Path, Solution,
+from .core import (EDGE, Conflict, Constraint, ConstraintIndex, Path, Solution,
                    conflict_to_constraints, conflicts_with_agent,
-                   detect_conflicts, path_cost, step_collides, violates)
+                   detect_conflicts, first_change, path_cost, step_collides,
+                   violates)
 from .domains.base import LatticeDomain
 from . import lowlevel
 from .lowlevel import LLParams
@@ -186,6 +187,12 @@ class _Query:
                           wall_time=time.perf_counter() - self.t0, **kw)
 
 
+def _arrival(c: Conflict) -> int:
+    """The timestep a conflict ends at: its own for a vertex conflict, the
+    next one for an edge conflict."""
+    return c.time + (c.kind == EDGE)
+
+
 def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
                    config: PlannerConfig, llp: LLParams, deadline: float | None,
                    indexer) -> tuple[list[CTNode], int, bool]:
@@ -217,8 +224,15 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         new_paths = node.paths[:agent] + (res.path,) + node.paths[agent + 1:]
         new_lbs = node.lbs[:agent] + (max(node.lbs[agent], res.lower_bound),) \
             + node.lbs[agent + 1:]
-        kept = [cf for cf in node.conflicts if agent not in cf.agents]
-        kept.extend(conflicts_with_agent(new_paths, domain, agent))
+        # The replanned agent's pairs keep the conflicts that arrive before
+        # its path's first change and are rescanned from there, at the
+        # latest from the branched conflict: the new constraint moves the
+        # agent off it, so a real one is never kept.
+        since = min(first_change(node.paths[agent], res.path),
+                    _arrival(node.conflicts[0]))
+        kept = [cf for cf in node.conflicts
+                if agent not in cf.agents or _arrival(cf) < since]
+        kept.extend(conflicts_with_agent(new_paths, domain, agent, since))
         kept.sort(key=Conflict.sort_key)
         child = CTNode(next(indexer), new_constraints, new_paths,
                        node.cost - path_cost(node.paths[agent]) + res.cost,

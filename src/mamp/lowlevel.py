@@ -9,6 +9,13 @@ suffixes are injected into OPEN so the search can jump over regions it
 already explored in an earlier query. With an empty experience the search
 is exactly plain focal / weighted A*.
 
+Conflict counts are lazy. A relaxed state takes its parent's count as a
+lower bound (a step adds a count >= 0) and is settled, by summing the
+counter along its parent chain, only when it enters FOCAL. Outside FOCAL
+a state is ordered by f1 alone, so every key FOCAL compares is exact and
+the pop order is the eager order. In the timed lattice g = t, so a state
+is relaxed once and its parent chain is fixed when it is generated.
+
 Tie-breaking (fixed for reproducibility): OPEN prefers larger g, then the
 lexicographically smallest state; FOCAL in conflict mode prefers fewer
 conflicts, then f1, then the smallest state. A solver instance owns its
@@ -61,7 +68,7 @@ class LowLevelResult:
 
 
 class SearchNode:
-    __slots__ = ("state", "g", "h", "f1", "cc", "parent", "in_open", "ver")
+    __slots__ = ("state", "g", "h", "f1", "cc", "settled", "parent", "in_open", "ver")
 
     def __init__(self, state: State, h: float = 0.0):
         self.state = state
@@ -69,6 +76,7 @@ class SearchNode:
         self.h = h
         self.f1 = INF
         self.cc = 0
+        self.settled = True        # False while cc is a lower bound
         self.parent: SearchNode | None = None
         self.in_open = False
         self.ver = 0
@@ -89,6 +97,11 @@ class FocalQueue:
     cheapest pending value when w2 > 1; otherwise the min-f1 node is taken.
     Entries go stale when their node closes or is re-keyed (``ver``). A
     subclass supplies its own keys through ``_keys``.
+
+    With a ``cc_fn``, a node's conflict count ``cc`` may be a lower bound
+    (``settled`` false) while the node waits in pending, whose order reads
+    only the value. Admission to FOCAL settles the node and re-reads its
+    FOCAL key, so FOCAL orders exact keys only.
     """
 
     def __init__(self, w1: float = 1.0, w2: float = 1.0, f2: str = "f1",
@@ -118,7 +131,8 @@ class FocalQueue:
 
     # Heap entries are flat tuples: the key's fields, then ver, tick, node
     # and, in FOCAL and pending, the other key, so that moving a node
-    # between the two swaps the keys without recomputing them.
+    # between the two swaps the keys without recomputing them (apart from
+    # the FOCAL key of a count settled on admission).
 
     def insert(self, n) -> None:
         n.in_open = True
@@ -127,6 +141,9 @@ class FocalQueue:
         tail = (n.ver, tick, n)
         heappush(self._open, f1_key + tail)
         if value <= self._bound:
+            if self.cc_fn is not None and not n.settled:
+                self._settle(n)
+                f2_key = self._keys(n)[2]
             heappush(self._focal, f2_key + tail + (value,))
         else:
             heappush(self._pending, (value,) + tail + (f2_key,))
@@ -140,6 +157,11 @@ class FocalQueue:
                 break
             heappop(pending)
             if node.in_open and node.ver == ver:
+                if self.cc_fn is not None:
+                    if not node.settled:
+                        self._settle(node)
+                    if f2_key[0] != node.cc:  # the count leads the key; a walk may have settled it
+                        f2_key = self._keys(node)[2]
                 self._tick = tick = self._tick + 1
                 heappush(focal, f2_key + (ver, tick, node, value))
         while focal:
@@ -152,6 +174,26 @@ class FocalQueue:
             self._tick = tick = self._tick + 1
             heappush(pending, (value, ver, tick, node, entry[:-4]))  # bound shrank
         return None
+
+    def _settle(self, node) -> None:
+        """Make an unsettled ``node.cc`` exact: from its first settled
+        ancestor, add the counter step by step down the parent chain,
+        settling each node on it (an ancestor still in pending, such as an
+        experience-walk state, may be unsettled)."""
+        parent = node.parent
+        if parent.settled:  # one step, as for every child of a popped node
+            node.cc = parent.cc + self.cc_fn(parent.state, node.state)
+            node.settled = True
+            return
+        chain = []
+        while not node.settled:
+            chain.append(node)
+            node = node.parent
+        cc = node.cc
+        for n in reversed(chain):
+            cc += self.cc_fn(n.parent.state, n.state)
+            n.cc = cc
+            n.settled = True
 
     def pop(self):
         """Extract the min-f2 open node within the focal bound, recording the
@@ -200,7 +242,8 @@ def try_insert_or_update(queue: FocalQueue, parent: SearchNode,
     node.f1 = g_new + queue.w1 * node.h
     node.parent = parent
     if queue.cc_fn is not None:
-        node.cc = parent.cc + queue.cc_fn(parent.state, state)
+        node.cc = parent.cc  # a lower bound until the node is settled
+        node.settled = False
     node.ver += 1
     queue.insert(node)
     return True
@@ -271,19 +314,23 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     if params.f2 == "conflicts" and others:
         # Conflicts accrued while parked at the goal are charged to goal
         # states up front, otherwise the tree resolves them one timestep at
-        # a time. parked_after[t] = conflicts over [t, end) against the
-        # others' sweeps and arrivals while this agent sits on its goal.
+        # a time. parked[k] = conflicts over [last + 1 - k, end) against
+        # the others' sweeps and arrivals while this agent sits on its goal,
+        # extended downward from last + 1 only as far as a settled goal
+        # arrival needs.
         last = max(p.duration for _, p in others)
-        parked_after = [hits(goal, last + 1, goal)] * (last + 2)
-        for t in range(last, -1, -1):
-            parked_after[t] = parked_after[t + 1] + hits(goal, t, goal)
+        parked: list[int] = []
 
         def cc_fn(s1: State, s2: State) -> int:
             q, t = s1
             q2 = s2[0]
             n = hits(q, t, q2)
             if q2 == goal:
-                n += parked_after[min(t + 1, last + 1)]
+                k = last - min(t, last)
+                while len(parked) <= k:
+                    parked.append((parked[-1] if parked else 0)
+                                  + hits(goal, last + 1 - len(parked), goal))
+                n += parked[k]
             return n
 
     def walk_ok(q: Config, t: int, q2: Config) -> bool:

@@ -7,10 +7,11 @@ geometry predicates, which are the common ground truth.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
-from mamp.core import ConstraintIndex, step_collides
+from mamp.core import EDGE, VERTEX, Conflict, ConstraintIndex, step_collides
 from mamp.domains.arm import Segment, _chain, _seg_seg_dist2
 
 
@@ -221,6 +222,62 @@ def plain_focal_wastar(domain, agent, start, goal, constraints=(),
                 known[2] = info[s][2] + step_cc(q, t, q2)
                 open_set.add(s2)  # reopen
     return None, trace
+
+
+class EagerFocalQueue:
+    """Reference low-level OPEN/FOCAL in conflict mode, by scans and with
+    eager counts: a relaxation computes the state's conflict count at once
+    from its parent's, and a pop takes, among the open states with
+    f1 <= w2 * min f1, the least (count, f1, state)."""
+
+    def __init__(self, w1, w2, h_fn, cc_fn):
+        self.w1, self.w2, self.h_fn, self.cc_fn = w1, w2, h_fn, cc_fn
+        self.info = {}  # state -> [g, f1, cc]
+        self.open = set()
+
+    def push_root(self, state):
+        self.info[state] = [0, self.w1 * self.h_fn(state), 0]
+        self.open.add(state)
+
+    def relax(self, parent, state):
+        g = self.info[parent][0] + 1
+        known = self.info.get(state)
+        if known is not None and known[0] <= g:
+            return
+        self.info[state] = [g, g + self.w1 * self.h_fn(state),
+                            self.info[parent][2] + self.cc_fn(parent, state)]
+        self.open.add(state)
+
+    def pop(self):
+        """(state, count) of the extracted state, None when nothing is open."""
+        if not self.open:
+            return None
+        bound = self.w2 * min(self.info[s][1] for s in self.open)
+        s = min((s for s in self.open if self.info[s][1] <= bound),
+                key=lambda s: (self.info[s][2], self.info[s][1], s))
+        self.open.remove(s)
+        return s, self.info[s][2]
+
+
+def scan_conflicts(paths, domain):
+    """Every conflict of ``paths`` by a per-timestep scan of each pair with
+    ``Path.at`` (shorter paths park at their end) up to the later end:
+    a vertex conflict where the arrivals touch, an edge conflict where a
+    moving step's sweeps do. Sorted by ``Conflict.sort_key``."""
+    out = []
+    for i, j in itertools.combinations(range(len(paths)), 2):
+        pi, pj = paths[i], paths[j]
+        horizon = max(pi.duration, pj.duration)
+        for t in range(horizon + 1):
+            a, b = pi.at(t), pj.at(t)
+            if domain.pairwise_collision(i, a, a, j, b, b):
+                out.append(Conflict(VERTEX, (i, j), t, ((a, a), (b, b))))
+            if t < horizon:
+                a2, b2 = pi.at(t + 1), pj.at(t + 1)
+                if (a2 != a or b2 != b) and domain.pairwise_collision(i, a, a2, j, b, b2):
+                    out.append(Conflict(EDGE, (i, j), t, ((a, a2), (b, b2))))
+    out.sort(key=Conflict.sort_key)
+    return out
 
 
 def select_ct_node(nodes, wH, f1H, f2H):

@@ -1,17 +1,18 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mamp
 from mamp import (Conflict, Constraint, GridDomain, Path,
                   conflict_to_constraints, detect_conflicts, path_cost,
                   violates)
-from mamp.core import EDGE, VERTEX, ConstraintIndex
+from mamp.core import (EDGE, VERTEX, ConstraintIndex, conflicts_with_agent,
+                       first_change)
 
 from corpus import two_link_arm_pair
-from oracles import enumerate_timed_paths
+from oracles import enumerate_timed_paths, scan_conflicts
 
 A, B, C = (0, 0), (1, 0), (2, 0)
 
@@ -114,6 +115,48 @@ class TestDetectConflicts:
                             and paths[j].at(t + 1) == qi and qi != paths[i].at(t + 1):
                         clean = False
             assert (detect_conflicts(paths, g) == []) == clean
+
+
+class TestIncrementalConflicts:
+    """A replan keeps the replanned agent's conflicts that arrive before
+    its path's first change and rescans its pairs from there."""
+
+    DOMAINS = {"grid": GridDomain(3, 3), "arms": two_link_arm_pair()}
+    CONFIGS = {"grid": st.tuples(st.integers(0, 2), st.integers(0, 2)),
+               "arms": st.tuples(st.integers(-2, 2), st.integers(-2, 2))}
+
+    def test_first_change_is_capped_at_the_shorter_end(self):
+        assert first_change(P(A, B, C), P(A, C, C)) == 1
+        assert first_change(P(A, B), P(A, B, C)) == 1
+        assert first_change(P(A, B, C), P(A, B)) == 1
+        assert first_change(P(A), P(B, C)) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rescan_from_first_change_matches_full_scan(self, data):
+        kind = data.draw(st.sampled_from(sorted(self.DOMAINS)))
+        domain, config = self.DOMAINS[kind], self.CONFIGS[kind]
+        n = data.draw(st.integers(2, 3))
+        paths = [Path(tuple(data.draw(st.lists(config, min_size=1, max_size=6))))
+                 for _ in range(n)]
+        agent = data.draw(st.integers(0, n - 1))
+        old = paths[agent].waypoints
+        keep = data.draw(st.integers(0, len(old)))
+        # the new path shares a prefix, then goes on freely or parks at its
+        # last kept waypoint, also past the old path's end
+        tail = tuple(data.draw(st.lists(config, max_size=6)))
+        if keep and data.draw(st.booleans()):
+            tail = old[keep - 1:keep] * data.draw(st.integers(0, 8))
+        assume(keep or tail)
+        new_paths = list(paths)
+        new_paths[agent] = Path(old[:keep] + tail)
+        since = data.draw(st.integers(0, first_change(paths[agent], new_paths[agent])))
+        kept = [c for c in detect_conflicts(paths, domain)
+                if agent not in c.agents or c.time + (c.kind == EDGE) < since]
+        rescanned = conflicts_with_agent(new_paths, domain, agent, since)
+        full = scan_conflicts(new_paths, domain)
+        assert detect_conflicts(new_paths, domain) == full
+        assert sorted(kept + rescanned, key=Conflict.sort_key) == full
 
 
 class TestConflictToConstraints:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mamp import ArmDomain, ArmSpec, Constraint, GridDomain, Path
+from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path,
+                  generate_scene, parse_scene)
 from mamp.core import ConstraintIndex
 from mamp.lowlevel import (FocalQueue, LLParams, push_partial_experience,
                            solve, suffix, try_insert_or_update)
 
 from corpus import grid_corpus, one_joint_arm
-from oracles import grid_bfs_cost, plain_focal_wastar, timed_optimal_cost
+from oracles import (EagerFocalQueue, grid_bfs_cost, plain_focal_wastar,
+                     timed_optimal_cost)
 
 A, B, C = (0, 0), (1, 0), (2, 0)
 RES = math.pi / 16
@@ -398,6 +400,116 @@ class TestGuarantees:
         finally:
             FocalQueue.pop = orig_pop
         assert not violations
+
+
+class TestLazyConflictCounts:
+    """A state's conflict count is settled only when the state enters
+    FOCAL, yet FOCAL pops in the eager order with the eager counts."""
+
+    T = 6  # timesteps of the random timed lattice
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.sampled_from([1.0, 1.5, 50.0]),
+           st.sampled_from([1.0, 1.3, 2.0]))
+    def test_pops_match_eager_reference(self, data, n, w1, w2):
+        h = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=n * n * self.T,
+                                   max_size=n * n * self.T))
+        calls = {"lazy": 0, "eager": 0}
+
+        def counter(side):
+            def cc_fn(s1, s2):
+                calls[side] += 1
+                return steps[(s1[0][0] * n + s2[0][0]) * self.T + s1[1]]
+            return cc_fn
+
+        def h_fn(s):
+            return h[s[0][0]]
+        queue = FocalQueue(w1, w2, "conflicts", h_fn=h_fn, cc_fn=counter("lazy"))
+        ref = EagerFocalQueue(w1, w2, h_fn, counter("eager"))
+        root = ((0,), 0)
+        queue.push_root(root)
+        ref.push_root(root)
+
+        def relax(parent, q2):
+            s2 = (q2, parent.state[1] + 1)
+            if s2[1] < self.T:
+                try_insert_or_update(queue, parent, s2)
+                ref.relax(parent.state, s2)
+            return queue.nodes.get(s2)
+
+        configs = st.integers(0, n - 1).map(lambda k: (k,))
+        for _ in range(data.draw(st.integers(0, 25))):
+            if data.draw(st.booleans()):
+                # an experience-style walk from any known state: the cursor
+                # follows the walked states, popped or not
+                cur = queue.nodes[data.draw(st.sampled_from(sorted(queue.nodes)))]
+                for q2 in data.draw(st.lists(configs, max_size=4)):
+                    cur = relax(cur, q2)
+                    if cur is None:
+                        break
+                continue
+            node, want = queue.pop(), ref.pop()
+            assert (None if node is None else (node.state, node.cc)) == want
+            if node is None:
+                break
+            for q2 in data.draw(st.sets(configs)):
+                relax(node, q2)
+        while True:
+            node, want = queue.pop(), ref.pop()
+            assert (None if node is None else (node.state, node.cc)) == want
+            if node is None:
+                break
+        assert calls["lazy"] <= calls["eager"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 2), st.sampled_from([(50.0, 1.3), (1.0, 2.0)]))
+    def test_grid_trace_matches_plain_focal(self, data, n_others, weights):
+        # random walkers cross and park on the goal, so the counts charged
+        # to goal arrivals for the parked time steer the search
+        domain = GridDomain(3, 3)
+        cells = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        others = []
+        for j in range(1, n_others + 1):
+            wps = [data.draw(cells)]
+            for _ in range(data.draw(st.integers(0, 8))):
+                wps.append(data.draw(st.sampled_from(domain.successor_configs(j, wps[-1]))))
+            others.append((j, Path(tuple(wps))))
+        start, goal = data.draw(cells), data.draw(cells)
+        w1, w2 = weights
+        r = solve(GridDomain(3, 3), 0, start, goal, params=LLParams(
+            w1=w1, w2=w2, f2="conflicts", horizon=10), other_paths=others,
+            record_trace=True)
+        _cost, ref_trace = plain_focal_wastar(domain, 0, start, goal, (), w1, w2,
+                                              "conflicts", others, horizon=10)
+        assert r.trace == ref_trace
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_arm_trace_matches_plain_focal(self, n):
+        horizon = 16
+        compared = 0
+        for seed in range(6):
+            scene = parse_scene(generate_scene("circle-arms", n=n, seed=seed,
+                                               links=2, walk=6))
+            domain = scene.build_domain()
+            # the other arms run their queries in reverse, across agent 0's
+            others = []
+            for j in range(1, n):
+                res = solve(domain, j, scene.goals[j], scene.starts[j],
+                            params=LLParams(horizon=horizon))
+                if res.success:
+                    others.append((j, res.path))
+            if not others:
+                continue
+            params = LLParams(w1=50.0, w2=1.3, f2="conflicts", horizon=horizon)
+            r = solve(scene.build_domain(), 0, scene.starts[0], scene.goals[0],
+                      params=params, other_paths=others, record_trace=True)
+            _cost, ref_trace = plain_focal_wastar(
+                scene.build_domain(), 0, scene.starts[0], scene.goals[0], (),
+                50.0, 1.3, "conflicts", others, horizon=horizon)
+            assert r.trace == ref_trace, seed
+            compared += 1
+        assert compared >= 4
 
 
 class TestConflictTableParity:
