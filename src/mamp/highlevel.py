@@ -112,7 +112,6 @@ class CTNode:
     conflicts: tuple[Conflict, ...]
     lbs: tuple[float, ...]
     in_open: bool = field(default=False, repr=False)
-    ver = 0  # queue entry version; CT nodes are never re-keyed
 
     @property
     def lb_total(self) -> float:

@@ -14,7 +14,8 @@ lower bound (a step adds a count >= 0) and is settled, by summing the
 counter along its parent chain, only when it enters FOCAL. Outside FOCAL
 a state is ordered by f1 alone, so every key FOCAL compares is exact and
 the pop order is the eager order. In the timed lattice g = t, so a state
-is relaxed once and its parent chain is fixed when it is generated.
+is generated once, with its final g and parent, and inserted once: it is
+never re-keyed or reopened.
 
 Tie-breaking (fixed for reproducibility): OPEN prefers larger g, then the
 lexicographically smallest state; FOCAL in conflict mode prefers fewer
@@ -50,6 +51,8 @@ class LLParams:
     def __post_init__(self):
         if not (1.0 <= self.w1 < INF and 1.0 <= self.w2 < INF):
             raise ValueError("suboptimality factors must be >= 1 and finite")
+        if self.f2 not in ("f1", "conflicts"):
+            raise ValueError(f"f2 must be 'f1' or 'conflicts', got {self.f2!r}")
 
 
 @dataclass
@@ -68,18 +71,18 @@ class LowLevelResult:
 
 
 class SearchNode:
-    __slots__ = ("state", "g", "h", "f1", "cc", "settled", "parent", "in_open", "ver")
+    __slots__ = ("state", "g", "h", "f1", "cc", "settled", "parent", "in_open")
 
-    def __init__(self, state: State, h: float = 0.0):
+    def __init__(self, state: State, h: float, g: int, f1: float,
+                 parent: SearchNode | None = None):
         self.state = state
-        self.g = INF
+        self.g = g
         self.h = h
-        self.f1 = INF
+        self.f1 = f1
         self.cc = 0
         self.settled = True        # False while cc is a lower bound
-        self.parent: SearchNode | None = None
+        self.parent = parent
         self.in_open = False
-        self.ver = 0
 
 
 class FocalQueue:
@@ -95,8 +98,10 @@ class FocalQueue:
     nothing is within the bound (possible only when the value exceeds f1, as
     a CT node's cost can exceed its LB), a second pass admits at the
     cheapest pending value when w2 > 1; otherwise the min-f1 node is taken.
-    Entries go stale when their node closes or is re-keyed (``ver``). A
-    subclass supplies its own keys through ``_keys``.
+    A subclass supplies its own keys through ``_keys``. Both search levels
+    insert a node once and never re-key it, so an entry is stale only when
+    its node has closed; every key ends in the state or the CT index, so
+    keys never tie and entries need no tiebreaker.
 
     With a ``cc_fn``, a node's conflict count ``cc`` may be a lower bound
     (``settled`` false) while the node waits in pending, whose order reads
@@ -118,7 +123,6 @@ class FocalQueue:
         self._pending: list = []
         self._focal: list = []
         self._bound = -INF
-        self._tick = 0             # heap tiebreaker; nodes are unorderable
 
     def _keys(self, n):
         """(OPEN key, membership value, FOCAL key) of a node; the low
@@ -129,50 +133,46 @@ class FocalQueue:
             return key, n.f1, (n.cc, n.f1, n.state)
         return key, n.f1, key
 
-    # Heap entries are flat tuples: the key's fields, then ver, tick, node
-    # and, in FOCAL and pending, the other key, so that moving a node
-    # between the two swaps the keys without recomputing them (apart from
-    # the FOCAL key of a count settled on admission).
+    # Heap entries are flat tuples: OPEN's are key + (node,), FOCAL's
+    # f2_key + (node, value) and pending's (value, f2_key, node), so that
+    # moving a node between the two swaps the keys without recomputing them
+    # (apart from the FOCAL key of a count settled on admission).
 
     def insert(self, n) -> None:
         n.in_open = True
         f1_key, value, f2_key = self._keys(n)
-        self._tick = tick = self._tick + 1
-        tail = (n.ver, tick, n)
-        heappush(self._open, f1_key + tail)
+        heappush(self._open, f1_key + (n,))
         if value <= self._bound:
             if self.cc_fn is not None and not n.settled:
                 self._settle(n)
                 f2_key = self._keys(n)[2]
-            heappush(self._focal, f2_key + tail + (value,))
+            heappush(self._focal, f2_key + (n, value))
         else:
-            heappush(self._pending, (value,) + tail + (f2_key,))
+            heappush(self._pending, (value, f2_key, n))
 
     def _pop_focal(self, bound: float):
         self._bound = bound
         pending, focal = self._pending, self._focal
         while pending:
-            value, ver, _, node, f2_key = pending[0]
-            if node.in_open and node.ver == ver and value > bound:
+            value, f2_key, node = pending[0]
+            if node.in_open and value > bound:
                 break
             heappop(pending)
-            if node.in_open and node.ver == ver:
+            if node.in_open:
                 if self.cc_fn is not None:
                     if not node.settled:
                         self._settle(node)
                     if f2_key[0] != node.cc:  # the count leads the key; a walk may have settled it
                         f2_key = self._keys(node)[2]
-                self._tick = tick = self._tick + 1
-                heappush(focal, f2_key + (ver, tick, node, value))
+                heappush(focal, f2_key + (node, value))
         while focal:
             entry = heappop(focal)
-            ver, node, value = entry[-4], entry[-2], entry[-1]
-            if not (node.in_open and node.ver == ver):
+            node, value = entry[-2], entry[-1]
+            if not node.in_open:
                 continue
             if value <= bound:
                 return node
-            self._tick = tick = self._tick + 1
-            heappush(pending, (value, ver, tick, node, entry[:-4]))  # bound shrank
+            heappush(pending, (value, entry[:-2], node))  # bound shrank
         return None
 
     def _settle(self, node) -> None:
@@ -201,7 +201,7 @@ class FocalQueue:
         open_ = self._open
         while open_:
             top = open_[0]
-            if top[-1].in_open and top[-1].ver == top[-3]:
+            if top[-1].in_open:
                 break
             heappop(open_)
         else:
@@ -215,10 +215,8 @@ class FocalQueue:
         return node
 
     def push_root(self, state: State) -> SearchNode:
-        n = SearchNode(state, self.h_fn(state))
-        n.g = 0
-        n.f1 = self.w1 * n.h
-        self.nodes[state] = n
+        h = self.h_fn(state)
+        n = self.nodes[state] = SearchNode(state, h, 0, self.w1 * h)
         self.insert(n)
         return n
 
@@ -229,22 +227,17 @@ class FocalQueue:
 
 def try_insert_or_update(queue: FocalQueue, parent: SearchNode,
                          state: State) -> bool:
-    """Relax ``state`` through ``parent``. Unseen states start at g=inf; a
-    strictly better g updates cost, parent and queue position (reopening the
-    state if it was closed). Returns True iff something changed."""
-    node = queue.nodes.get(state)
-    if node is None:
-        node = queue.nodes[state] = SearchNode(state, queue.h_fn(state))
-    g_new = parent.g + 1
-    if node.g <= g_new:
+    """Generate ``state`` as a child of ``parent`` with g = parent.g + 1 and
+    insert it. A known state, open or closed, is left alone: in the timed
+    lattice its first generation already had the least g. Returns True iff
+    the state was new."""
+    if state in queue.nodes:
         return False
-    node.g = g_new
-    node.f1 = g_new + queue.w1 * node.h
-    node.parent = parent
+    h, g = queue.h_fn(state), parent.g + 1
+    node = queue.nodes[state] = SearchNode(state, h, g, g + queue.w1 * h, parent)
     if queue.cc_fn is not None:
         node.cc = parent.cc  # a lower bound until the node is settled
         node.settled = False
-    node.ver += 1
     queue.insert(node)
     return True
 
@@ -264,8 +257,8 @@ def push_partial_experience(queue: FocalQueue, experience: Sequence[Config],
                             move_ok: Callable[[Config, int, Config], bool]) -> None:
     """Walk the experience suffix after ``node``'s configuration, assigning
     times t0+1, t0+2, ... and relaxing each state, until a step fails
-    ``move_ok``. The walk cursor follows the propagated state even when the
-    relaxation is declined (the seen state already had a better g)."""
+    ``move_ok``. The walk cursor follows the walked state also when it was
+    already known."""
     q0, t0 = node.state
     cur = node
     for q in suffix(experience, q0):
@@ -334,9 +327,10 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
             return n
 
     def walk_ok(q: Config, t: int, q2: Config) -> bool:
-        # the experience walk stops at a step the search could not take, or
-        # one that hits another agent, if given
-        return (t + 1 <= horizon and cidx.allows_move(q, t, q2)
+        # the experience walk stops at a step the search could not take
+        # (also to a configuration of the wrong length), or one that hits
+        # another agent, if given
+        return (t + 1 <= horizon and len(q2) == len(q) and cidx.allows_move(q, t, q2)
                 and domain.is_lattice_edge(agent, q, q2)
                 and domain.step_valid(agent, q, q2)
                 and not hits(q, t, q2, first=True))
@@ -392,10 +386,8 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
                                   "success", trace)
         if q in members:
             push_partial_experience(queue, experience, node, walk_ok)
-        g1 = node.g + 1
         for s2 in get_successors(domain, agent, node.state, cidx, horizon):
             if hard_paths and hits(q, t, s2[0], first=True):
                 continue
-            seen = nodes.get(s2)
-            if seen is None or seen.g > g1:  # else the relaxation is a no-op
+            if s2 not in nodes:
                 try_insert_or_update(queue, node, s2)

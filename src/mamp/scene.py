@@ -25,7 +25,8 @@ Arm scenes::
     agent start 0 0 goal 8 -3
 
 Arm descriptors and agent lines pair up by order; map row r holds the cells
-with y = r.
+with y = r. ``domain``, ``map``, ``thickness`` and ``substeps`` may each be
+given once, and a scene may use only its own domain's keywords.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .domains import ArmDomain, ArmSpec, Disc, GridDomain, Segment
 
 class SceneError(ValueError):
     pass
+
+
+_ONCE = {"domain", "map", "thickness", "substeps"}
+_FOREIGN = {"grid": {"thickness", "substeps", "obstacle", "arm"}, "arm": {"map"}}
 
 
 def format_decimal(x: float) -> str:
@@ -134,6 +139,7 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
     goals: list[Config] = []
     thickness, substeps = 0.04, 8
     in_map = False
+    first_line: dict[str, int] = {}  # keyword -> line it first appears on
     for ln, raw in enumerate(text.splitlines(), 1):
         if in_map:
             if raw.strip() == "endmap":
@@ -149,6 +155,9 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
             continue
         parts = line.split()
         kw = parts[0]
+        if kw in _ONCE and kw in first_line:
+            raise SceneError(f"line {ln}: {kw!r} given twice")
+        first_line.setdefault(kw, ln)
         try:
             if kw == "domain":
                 kind = parts[1]
@@ -193,6 +202,10 @@ def parse_scene(text: str, name: str = "scene") -> Scene:
         raise SceneError("map block not closed with 'endmap'")
     if kind is None:
         raise SceneError("missing 'domain' line")
+    foreign = [(ln, kw) for kw, ln in first_line.items() if kw in _FOREIGN[kind]]
+    if foreign:
+        ln, kw = min(foreign)
+        raise SceneError(f"line {ln}: {kind} scenes take no {kw!r} lines")
     if not starts:
         raise SceneError("scene declares no agents")
     scene = Scene(kind, name, tuple(rows), tuple(arms), tuple(obstacles),

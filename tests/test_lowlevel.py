@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -101,6 +102,10 @@ class TestSolveExamples:
         with pytest.raises(ValueError, match="finite"):
             LLParams(**kw)
 
+    def test_unknown_f2_rejected(self):
+        with pytest.raises(ValueError, match="'conflict'"):
+            LLParams(f2="conflict")
+
     def test_start_equals_goal(self):
         g = GridDomain(3, 3)
         r = solve(g, 0, (1, 1), (1, 1))
@@ -127,34 +132,33 @@ class TestTryInsertOrUpdate:
         assert not try_insert_or_update(q, other, (B, 1))
         assert q.nodes[(B, 1)].parent is root
 
-    def test_strictly_better_g_updates_and_reorders(self):
-        q = FocalQueue(h_fn=lambda s: 0.0)
-        far = q.push_root((A, 0))
-        far.g = far.f1 = 6.0
-        far.ver += 1
-        q.insert(far)
-        try_insert_or_update(q, far, (B, 1))
-        assert q.nodes[(B, 1)].g == 7
-        near = q.push_root((C, 0))
-        near.g = near.f1 = 3.0
-        near.ver += 1
-        q.insert(near)
-        assert try_insert_or_update(q, near, (B, 1))
-        node = q.nodes[(B, 1)]
-        assert node.g == 4 and node.parent is near
-        # reordered by f1: 3 < 4 < 6
-        assert [q.pop().state for _ in range(3)] == [(C, 0), (B, 1), (A, 0)]
+    H = {A: 1.0, B: 0.0, C: 5.0}
 
-    def test_closed_state_reopens_on_strict_improvement(self):
-        q = FocalQueue(h_fn=lambda s: 0.0)
-        root = q.push_root((A, 0))
-        try_insert_or_update(q, root, (B, 1))
+    def _pops(self, close_first: bool, regenerate: bool) -> list:
+        """Pop sequence of a queue holding roots (A, 0) and (C, 0) and A's
+        child (B, 1), popping (B, 1) first if ``close_first``, then
+        generating (B, 1) again from C if ``regenerate``."""
+        q = FocalQueue(h_fn=lambda s: self.H[s[0]])
+        a, c = q.push_root((A, 0)), q.push_root((C, 0))
+        assert try_insert_or_update(q, a, (B, 1))
         node = q.nodes[(B, 1)]
-        node.in_open = False
-        shortcut = q.push_root((C, 0))
-        shortcut.g = -5  # force a strictly better relaxation
-        assert try_insert_or_update(q, shortcut, (B, 1))
-        assert node.in_open
+        pops = [q.pop().state] if close_first else []
+        if regenerate:
+            assert not try_insert_or_update(q, c, (B, 1))
+        assert q.nodes[(B, 1)] is node
+        assert (node.g, node.parent, node.in_open) == (1, a, not close_first)
+        while (n := q.pop()) is not None:
+            pops.append(n.state)
+        return pops
+
+    def test_known_open_state_is_left_alone(self):
+        # (B, 1) ties A's f1 = 1 and wins on the larger g
+        assert self._pops(False, True) == self._pops(False, False) \
+            == [(B, 1), (A, 0), (C, 0)]
+
+    def test_known_closed_state_is_not_reopened(self):
+        assert self._pops(True, True) == self._pops(True, False) \
+            == [(B, 1), (A, 0), (C, 0)]
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)), max_size=40))
     @settings(max_examples=60)
@@ -213,6 +217,17 @@ class TestPushPartialExperience:
         q, root, move_ok = self._setup()
         push_partial_experience(q, (A, C, B), root, move_ok)  # A->C jumps
         assert (C, 1) not in q.nodes and (B, 2) not in q.nodes
+
+    @pytest.mark.parametrize("make,start,goal,bad", [
+        (lambda: GridDomain(3, 3), (0, 0), (2, 2), (1,)),
+        (one_joint_arm, (0,), (3,), (1, 0)),
+    ], ids=["grid", "arm"])
+    def test_config_of_wrong_length_stops_the_walk(self, make, start, goal, bad):
+        # the grid's unrolled lattice-edge test indexes both coordinates
+        plain = solve(make(), 0, start, goal, record_trace=True)
+        for exp in ((start, bad), (start, bad, start)):
+            r = solve(make(), 0, start, goal, experience=exp, record_trace=True)
+            assert r.success and r.trace == plain.trace
 
     # the second arm parks where the experience's second transition arrives
     TWO_ARMS = [ArmSpec((0.0, 0.0), (1.0,), RES, ((-16, 16),)),
@@ -592,3 +607,76 @@ class TestHardPathsOracle:
         self._check(data, domain,
                     lambda j: [(k,) for k in range(-4, 5)
                                if domain.is_state_valid(j, (k,))], [1])
+
+
+class TestGenerateOnce:
+    """A solve inserts each state it generates into its queue exactly once,
+    with g equal to the state's time, whatever the constraints, experience
+    (adversarial included), other agents and focal priority."""
+
+    H = 8
+
+    def _check(self, data, domain, configs, others_ids, junk):
+        def walk(j, q, steps):
+            wps = [q]
+            for _ in range(steps):
+                wps.append(data.draw(st.sampled_from(domain.successor_configs(j, wps[-1]))))
+            return wps
+        start = data.draw(st.sampled_from(configs))
+        goal = data.draw(st.sampled_from(configs))
+        constraints = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            q = data.draw(st.sampled_from(configs))
+            q2 = data.draw(st.sampled_from(domain.successor_configs(0, q)))
+            t = data.draw(st.integers(1, self.H - 2))
+            constraints.append(Constraint.vertex(0, q2, t) if data.draw(st.booleans())
+                               else Constraint.edge(0, q, q2, t))
+        kind = data.draw(st.sampled_from(["none", "walk", "adversarial"]))
+        if kind == "walk":
+            experience = walk(0, start, data.draw(st.integers(0, 6)))
+        elif kind == "adversarial":
+            experience = [start] + data.draw(st.lists(st.sampled_from(configs + junk),
+                                                      max_size=8))
+        else:
+            experience = ()
+        others = [(j, Path(tuple(walk(j, data.draw(st.sampled_from(configs)),
+                                      data.draw(st.integers(0, 6))))))
+                  for j in data.draw(st.sets(st.sampled_from(others_ids)))]
+        params = LLParams(w1=data.draw(st.sampled_from([1.0, 2.0, 50.0])),
+                          w2=data.draw(st.sampled_from([1.0, 1.3])),
+                          f2=data.draw(st.sampled_from(["f1", "conflicts"])),
+                          horizon=self.H)
+        inserted = []
+        insert = FocalQueue.insert
+
+        def spy(queue, node):
+            inserted.append((queue, node))
+            insert(queue, node)
+        with mock.patch.object(FocalQueue, "insert", spy):
+            r = solve(domain, 0, start, goal, constraints, experience, params,
+                      other_paths=others, hard_paths=data.draw(st.booleans()),
+                      record_trace=True)
+        nodes = [n for _, n in inserted]
+        assert len({q for q, _ in inserted}) <= 1
+        assert len({n.state for n in nodes}) == len(nodes)
+        if inserted:
+            assert sorted(inserted[0][0].nodes) == sorted(n.state for n in nodes)
+        assert all(n.g == n.state[1] for n in nodes)
+        assert len(set(r.trace)) == len(r.trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.integers(2, 3),
+           st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=2))
+    def test_grid(self, data, width, height, blocked):
+        domain = GridDomain(width, height, blocked)
+        free = [(x, y) for x in range(width) for y in range(height)
+                if domain.is_state_valid(0, (x, y))]
+        assume(free)
+        self._check(data, domain, free, [1, 2], [(width, 0), (0, -1), (1,)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_arm(self, data):
+        domain = _facing_arms()
+        configs = [(k,) for k in range(-4, 5) if domain.is_state_valid(0, (k,))]
+        self._check(data, domain, configs, [1], [(5,), (-6,), (0, 0)])

@@ -91,6 +91,14 @@ class TestParsing:
                              "agent start 0 goal 4 2"), "grid agent"),
         (lambda d: d.replace("domain grid\n", ""), "domain"),
         (lambda d: d + "wheels 4\n", "unknown keyword"),
+        (lambda d: d.replace("map\n", "domain grid\nmap\n", 1), "line 2: 'domain' given twice"),
+        (lambda d: d + "map\n.....\nendmap\n", "line 9: 'map' given twice"),
+        (lambda d: d + "thickness 0.05\n", "line 9: grid scenes take no 'thickness' lines"),
+        (lambda d: d.replace("map\n", "substeps 8\nmap\n", 1),
+         "line 2: grid scenes take no 'substeps' lines"),
+        (lambda d: d + "obstacle disc 1 1 0.5\n", "line 9: grid scenes take no 'obstacle' lines"),
+        (lambda d: d + "arm base 0 0 links 1 resolution 0.5 limits -4 4\n",
+         "line 9: grid scenes take no 'arm' lines"),
     ])
     def test_grid_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
@@ -145,6 +153,10 @@ class TestParsing:
         (lambda d: d.replace("base -1 0", "base -10000.5 0"), "line 6: arm base"),
         (lambda d: d.replace("links 0.4 0.4", "links 0.4 10000.5", 1),
          "line 6: link lengths"),
+        (lambda d: "domain arm\n" + d, "line 2: 'domain' given twice"),
+        (lambda d: d.replace("substeps 8", "thickness 0.1"), "line 3: 'thickness' given twice"),
+        (lambda d: d + "substeps 4\n", "line 10: 'substeps' given twice"),
+        (lambda d: d + "map\n..\nendmap\n", "line 10: arm scenes take no 'map' lines"),
     ])
     def test_arm_errors_carry_diagnostics(self, mutation, fragment):
         with pytest.raises(SceneError, match=fragment):
