@@ -1,13 +1,17 @@
 """Shared domain plumbing: the integer lattice, validity caching, geometry
-counters, constraint-aware successor expansion and per-replan conflict
-counting. A domain supplies `bounds`, the `_check_*` geometry, `heuristic`
-and `motion_cost_path`, and optionally `_cache_agent` and `step_conflicts`.
+counters, constraint-aware successor expansion and conflict counting
+against a conflict table. A domain supplies `bounds`, the `_check_*`
+geometry, `heuristic` and `motion_cost_path`, and optionally
+`_cache_agent`, `step_conflicts` and its own `ConflictTable` kind.
 
 Each per-step question has one answer here. `step_valid` is the static
 legality of one timestep (a wait, or a move to a valid configuration along
 a valid edge); `step_conflicts` counts the fixed other agents that a step
 hits. The low level and the shortcutter ask both methods; the solution
 certificate (`certify`) asks `step_valid`.
+
+The fixed other agents are one `ConflictTable` per query, kept current one
+path at a time: a change costs that path's length, not every other path's.
 
 A domain is immutable after construction except for its counters and its
 internal memo tables, which only ever record verdicts that a fresh
@@ -21,11 +25,69 @@ insertion; re-inserting an existing key with the same verdict is a no-op.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
 
-from ..core import Config, ConstraintIndex, step_collides
+from ..core import Config, ConstraintIndex, Path, step_collides
+
+
+class ConflictTable:
+    """Some agents' fixed paths, held as ``(agent id, Path)`` pairs in
+    insertion order; iterating a table yields the pairs. `set` changes one
+    agent's path in place, an agent already held keeping its place in the
+    order; `derive` makes a changed copy, so that a table handed to a
+    replan never changes after. A table holds no domain.
+
+    This kind keeps only the pairs; a domain whose counter reads an index
+    subclasses it (`GridDomain.Table`).
+    """
+
+    def __init__(self, pairs=()):
+        self._paths: dict[int, Path] = {}
+        for agent, path in pairs:
+            if agent in self._paths:
+                raise ValueError(f"agent {agent} has two paths")
+            self.set(agent, path)
+
+    def __iter__(self):
+        return iter(self._paths.items())
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __contains__(self, agent: int) -> bool:
+        return agent in self._paths
+
+    def path(self, agent: int) -> Path | None:
+        return self._paths.get(agent)
+
+    @property
+    def last(self) -> int:
+        """The largest duration of a held path (0 when empty): every held
+        agent is parked from this time on."""
+        return max((p.duration for p in self._paths.values()), default=0)
+
+    def set(self, agent: int, path: Path | None) -> None:
+        """In place: ``agent`` holds ``path`` from now on, or nothing when
+        ``path`` is None."""
+        if path is None:
+            del self._paths[agent]
+        else:
+            self._paths[agent] = path
+
+    def derive(self, agent: int, path: Path | None = None) -> "ConflictTable":
+        """A copy in which ``agent`` holds ``path``, or nothing when
+        ``path`` is None; this table is left as it is."""
+        new = self._copy()
+        new.set(agent, path)
+        return new
+
+    def _copy(self) -> "ConflictTable":
+        new = copy.copy(self)
+        new._paths = dict(self._paths)
+        return new
 
 
 @dataclass
@@ -54,10 +116,13 @@ class LatticeDomain:
 
     Subclasses provide the coordinate ranges (`bounds`), the raw geometry
     (`_check_*`), `heuristic` and `motion_cost_path`, and may override
-    `_cache_agent` and `step_conflicts`. From `bounds` this class states the
+    `_cache_agent`, `step_conflicts` and `Table`, the kind of conflict
+    table that their counter reads. From `bounds` this class states the
     bounds test, the unit moves, the lattice-edge test, the vertex count and
     the degree; on top it layers caching, memoization and counting.
     """
+
+    Table = ConflictTable
 
     def __init__(self, cache: bool = True):
         self.stats = DomainStats()
@@ -199,8 +264,9 @@ class LatticeDomain:
         return out
 
     def step_conflicts(self, agent: int, others):
-        """Conflict counter of ``agent`` against the fixed paths ``others``
-        (``(agent id, Path)`` pairs), built once per replan.
+        """Conflict counter of ``agent`` against the fixed paths ``others``,
+        a `ConflictTable` or ``(agent id, Path)`` pairs, asked once per
+        replan.
 
         The returned ``count(q, t, q2, first=False)`` is the number of other
         agents that the move q -> q2 departing at t collides with under
@@ -208,8 +274,9 @@ class LatticeDomain:
         Other agents stay parked at their last waypoint, so the step list at
         the last path end serves every later time. This version runs the
         pair tests in the order of ``others``; a domain may answer from an
-        index instead, with the same counts.
+        index in its own table kind instead, with the same counts.
         """
+        others = list(others)
         last = max((p.duration for _, p in others), default=0)
         steps = [[(jid, pj.at(t), pj.at(t + 1)) for jid, pj in others]
                  for t in range(last + 1)]

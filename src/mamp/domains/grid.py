@@ -2,8 +2,67 @@
 
 from __future__ import annotations
 
-from ..core import Config
-from .base import LatticeDomain
+from ..core import Config, Path, first_change
+from .base import ConflictTable, LatticeDomain
+
+
+class AvoidanceTable(ConflictTable):
+    """A conflict avoidance table (Standley, AAAI 2010) over the held paths:
+    a grid move collides with agent j iff it arrives where j arrives, or
+    swaps cells with j, so the table counts arrivals per (cell, t) and moves
+    per (from, to, t). Rows run from t = 0 to ``span``, the largest duration
+    held so far; every held agent is parked by then, so the row at ``span``
+    stands for every later time. A path's rows are added and removed alone,
+    and a path swapped for another keeps the rows of their shared prefix:
+    the span grows, extending the held paths' parked rows, only when a
+    longer path comes in, and never shrinks."""
+
+    def __init__(self, pairs=()):
+        self.arrivals: dict = {}
+        self.moves: dict = {}
+        self.span = 0
+        super().__init__(pairs)
+
+    def set(self, agent: int, path: Path | None) -> None:
+        old = self.path(agent)
+        # rows before the step into the first changed waypoint stay
+        lo = 0 if old is None or path is None else max(first_change(old, path) - 1, 0)
+        if old is not None:
+            self._rows(old, lo, self.span, -1)
+        super().set(agent, path)
+        if path is None:
+            return
+        if path.duration > self.span:
+            for j, pj in self:
+                if j != agent:
+                    self._rows(pj, self.span + 1, path.duration, 1)
+            self.span = path.duration
+        self._rows(path, lo, self.span, 1)
+
+    def _rows(self, path: Path, lo: int, hi: int, d: int) -> None:
+        """Add ``d`` to the rows of ``path`` at times lo .. hi."""
+        arrivals, moves = self.arrivals, self.moves
+        wps = path.waypoints
+        end = len(wps) - 1
+        for t in range(lo, hi + 1):
+            a, b = wps[min(t, end)], wps[min(t + 1, end)]
+            n = arrivals.get((b, t), 0) + d
+            if n:
+                arrivals[b, t] = n
+            else:
+                del arrivals[b, t]
+            if a != b:
+                n = moves.get((a, b, t), 0) + d
+                if n:
+                    moves[a, b, t] = n
+                else:
+                    del moves[a, b, t]
+
+    def _copy(self) -> "AvoidanceTable":
+        new = super()._copy()
+        new.arrivals = dict(self.arrivals)
+        new.moves = dict(self.moves)
+        return new
 
 
 class GridDomain(LatticeDomain):
@@ -15,6 +74,7 @@ class GridDomain(LatticeDomain):
     """
 
     kind = "grid"
+    Table = AvoidanceTable
 
     def __init__(self, width: int, height: int, blocked=(), cache: bool = True):
         super().__init__(cache)
@@ -50,24 +110,15 @@ class GridDomain(LatticeDomain):
         return qi0 == qj1 and qi1 == qj0 and qi0 != qi1  # swap
 
     def step_conflicts(self, agent: int, others):
-        """The conflict counter as a conflict avoidance table (Standley,
-        AAAI 2010): a move collides with agent j iff it arrives where j
-        arrives, or swaps cells with j. So the count is read off two
-        tables, arrivals per (cell, t) and moves per (from, to, t), whose
-        rows at the last path end stand for every later time; no pair test
-        runs."""
-        last = max((p.duration for _, p in others), default=0)
-        arrivals: dict = {}
-        moves: dict = {}
-        for _, pj in others:
-            for t in range(last + 1):
-                a, b = pj.at(t), pj.at(t + 1)
-                arrivals[b, t] = arrivals.get((b, t), 0) + 1
-                if a != b:
-                    moves[a, b, t] = moves.get((a, b, t), 0) + 1
+        """The conflict counter read off an `AvoidanceTable` (built from
+        ``others`` unless it is one): the arrivals at the target cell plus
+        the moves that swap with this one; no pair test runs."""
+        if not isinstance(others, AvoidanceTable):
+            others = AvoidanceTable(others)
+        arrivals, moves, span = others.arrivals, others.moves, others.span
 
         def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
-            t = min(t, last)
+            t = min(t, span)
             n = arrivals.get((q2, t), 0)
             if q != q2:
                 n += moves.get((q2, q, t), 0)

@@ -39,7 +39,7 @@ from .core import (EDGE, Conflict, Constraint, ConstraintIndex, Path, Solution,
                    conflict_to_constraints, conflicts_with_agent,
                    detect_conflicts, first_change, path_cost, step_collides,
                    violates)
-from .domains.base import LatticeDomain
+from .domains.base import ConflictTable, LatticeDomain
 from . import lowlevel
 from .lowlevel import LLParams
 
@@ -194,12 +194,16 @@ def _arrival(c: Conflict) -> int:
 
 def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
                    config: PlannerConfig, llp: LLParams, deadline: float | None,
-                   indexer) -> tuple[list[CTNode], int, bool]:
+                   indexer, table: ConflictTable | None = None
+                   ) -> tuple[list[CTNode], int, bool]:
     """Branch on the first conflict: one child per derived constraint, with
     only the affected agent replanned, warm-started (with experience on)
-    from the path it replaces. Children whose replan fails are discarded.
-    Returns (children, low-level expansions, timed_out)."""
-    n = len(node.paths)
+    from the path it replaces. A focal replan counts conflicts against
+    ``table``, a conflict table holding exactly ``node``'s paths (built
+    when not given), less the replanned agent. Children whose replan fails
+    are discarded. Returns (children, low-level expansions, timed_out)."""
+    if config.focal and table is None:
+        table = domain.Table(enumerate(node.paths))
     children: list[CTNode] = []
     ll_total = 0
     for c in conflict_to_constraints(node.conflicts[0]):
@@ -209,8 +213,7 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         child_llp = llp
         if llp.horizon is not None and llp.horizon < cidx.max_time + 1:
             child_llp = replace(llp, horizon=cidx.max_time + 1)
-        others = [(j, node.paths[j]) for j in range(n) if j != agent] \
-            if config.focal else None
+        others = table.derive(agent) if config.focal else None
         experience = node.paths[agent].waypoints if config.use_experience else ()
         res = lowlevel.solve(domain, agent, starts[agent], goals[agent], cidx,
                              experience, child_llp, other_paths=others,
@@ -270,6 +273,8 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     queue.insert(root)
     indexer = itertools.count(1)
     ct_expansions = 0
+    # the paths of the node last expanded, kept current one agent at a time
+    table = domain.Table(enumerate(root.paths)) if config.focal else None
 
     while True:
         if query.expired():
@@ -283,8 +288,12 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
                              ct_expansions=ct_expansions,
                              constraints=node.constraints)
         ct_expansions += 1
+        if table is not None:
+            for j, path in enumerate(node.paths):
+                if table.path(j) is not path:
+                    table.set(j, path)
         children, ll_exp, timed_out = expand_ct_node(
-            domain, node, starts, goals, config, llp, deadline, indexer)
+            domain, node, starts, goals, config, llp, deadline, indexer, table)
         query.ll_expansions += ll_exp
         if timed_out:
             return query.end("timeout", ct_expansions=ct_expansions)
@@ -308,22 +317,19 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
     if query.clash():
         return query.end("infeasible")
     starts, goals, deadline = query.starts, query.goals, query.deadline
-    fixed: list[tuple[int, Path]] = []
-    paths: dict[int, Path] = {}
+    fixed = domain.Table()  # the agents planned so far, in planning order
     for agent in order:
-        span = max((p.duration for _, p in fixed), default=0)
         base = config.horizon if config.horizon is not None \
             else min(domain.num_vertices(agent), lowlevel.TMAX)
-        llp = LLParams(w1=config.w1L, w2=1.0, f2="f1", horizon=base + span)
+        llp = LLParams(w1=config.w1L, w2=1.0, f2="f1", horizon=base + fixed.last)
         res = lowlevel.solve(domain, agent, starts[agent], goals[agent], (), (),
                              llp, other_paths=fixed, hard_paths=True,
                              deadline=deadline)
         query.ll_expansions += res.expansions
         if not res.success:
             return query.end("timeout" if res.status == "timeout" else "infeasible")
-        fixed.append((agent, res.path))
-        paths[agent] = res.path
-    solution = Solution(tuple(paths[i] for i in range(query.n)))
+        fixed = fixed.derive(agent, res.path)
+    solution = Solution(tuple(fixed.path(i) for i in range(query.n)))
     return query.end("success", solution=solution,
                      cost=solution.sum_of_costs, constraints=frozenset())
 

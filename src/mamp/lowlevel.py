@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
 from .core import Config, ConstraintIndex, Constraint, Path
-from .domains.base import LatticeDomain, get_successors
+from .domains.base import ConflictTable, LatticeDomain, get_successors
 
 State = tuple[Config, int]
 INF = math.inf
@@ -107,6 +107,12 @@ class FocalQueue:
     (``settled`` false) while the node waits in pending, whose order reads
     only the value. Admission to FOCAL settles the node and re-reads its
     FOCAL key, so FOCAL orders exact keys only.
+
+    When w2 = 1 and ``_keys`` gives the OPEN key itself as the FOCAL key
+    (the value being the key's first entry), FOCAL is OPEN: it holds
+    exactly the nodes of least f1, so its least key is OPEN's least key.
+    Such a queue, told by its keys, keeps OPEN alone and pops it directly,
+    in the same order.
     """
 
     def __init__(self, w1: float = 1.0, w2: float = 1.0, f2: str = "f1",
@@ -123,11 +129,12 @@ class FocalQueue:
         self._pending: list = []
         self._focal: list = []
         self._bound = -INF
+        self._plain = False  # FOCAL is OPEN: pop reads OPEN alone
 
     def _keys(self, n):
         """(OPEN key, membership value, FOCAL key) of a node; the low
-        level's: f1 = g + w1*h is also the value, f2 is f1 or the
-        conflicts."""
+        level's: f1 = g + w1*h is also the value, f2 is f1 (the OPEN key
+        itself) or the conflicts."""
         key = (n.f1, -n.g, n.state)
         if self.f2 == "conflicts":
             return key, n.f1, (n.cc, n.f1, n.state)
@@ -142,6 +149,9 @@ class FocalQueue:
         n.in_open = True
         f1_key, value, f2_key = self._keys(n)
         heappush(self._open, f1_key + (n,))
+        if f2_key is f1_key and self.w2 == 1.0:  # FOCAL is OPEN
+            self._plain = True
+            return
         if value <= self._bound:
             if self.cc_fn is not None and not n.settled:
                 self._settle(n)
@@ -199,6 +209,14 @@ class FocalQueue:
         """Extract the min-f2 open node within the focal bound, recording the
         min f1 at extraction in ``base``; None when nothing is open."""
         open_ = self._open
+        if self._plain:
+            if not open_:
+                return None
+            top = heappop(open_)
+            self.base = top[0]
+            node = top[-1]
+            node.in_open = False
+            return node
         while open_:
             top = open_[0]
             if top[-1].in_open:
@@ -272,7 +290,7 @@ def push_partial_experience(queue: FocalQueue, experience: Sequence[Config],
 def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
           constraints: Sequence[Constraint] | ConstraintIndex = (),
           experience: Sequence[Config] = (), params: LLParams = LLParams(),
-          other_paths: Sequence[tuple[int, Path]] | None = None,
+          other_paths: Sequence[tuple[int, Path]] | ConflictTable | None = None,
           hard_paths: bool = False,
           deadline: float | None = None,
           record_trace: bool = False) -> LowLevelResult:
@@ -280,11 +298,13 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
 
     ``experience`` is one time-stripped configuration sequence (in the
     constraint tree, the path being replaced). ``other_paths`` are the
-    remaining agents' committed paths; they feed the conflict-count focal
-    priority, stop the experience walk at a step that hits one of them, and
-    with ``hard_paths`` (prioritized planning) filter successors and goal
-    acceptance. Failure to reach the goal within the horizon is reported in
-    the result status, not raised.
+    remaining agents' committed paths, as ``(agent id, Path)`` pairs or a
+    `ConflictTable` that is not changed afterwards; they feed the
+    conflict-count focal priority, stop the experience walk at a step that
+    hits one of them, and with ``hard_paths`` (prioritized planning) filter
+    successors and goal acceptance. Naming ``agent`` among them, or one
+    agent twice, is a ``ValueError``. Failure to reach the goal within the
+    horizon is reported in the result status, not raised.
     """
     start, goal = tuple(start), tuple(goal)
     if not domain.is_state_valid(agent, start) or not domain.is_state_valid(agent, goal):
@@ -298,7 +318,11 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     elif horizon < cidx.max_time + 1:
         raise ValueError("horizon below constraint range")
 
-    others = list(other_paths) if other_paths else []
+    others = other_paths if isinstance(other_paths, ConflictTable) \
+        else domain.Table(other_paths or ())
+    if agent in others:
+        raise ValueError(f"other_paths names agent {agent} itself")
+    last = others.last  # every other agent is parked from here on
     checks_before = domain.stats.geometry_checks
     # other agents that the move q -> q2 departing at t collides with
     hits = domain.step_conflicts(agent, others)
@@ -311,7 +335,6 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
         # the others' sweeps and arrivals while this agent sits on its goal,
         # extended downward from last + 1 only as far as a settled goal
         # arrival needs.
-        last = max(p.duration for _, p in others)
         parked: list[int] = []
 
         def cc_fn(s1: State, s2: State) -> int:
@@ -340,7 +363,6 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
         # was checked by the hard filter when (goal, t) was generated (at
         # t = 0, by plan_prioritized's start-pair test), and the others stay
         # parked from their path ends on, so steps t .. last - 1 remain.
-        last = max((p.duration for _, p in others), default=0)
         return not any(hits(goal, s, goal, first=True) for s in range(t, last))
 
     h = functools.cache(lambda q: domain.heuristic(agent, q, goal))  # per solve

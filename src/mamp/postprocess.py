@@ -4,7 +4,10 @@ Agents are processed one by one; for each agent the scan walks from the
 start of its path and greedily tries the longest span [a, b] whose
 re-parameterized straight interpolation (same duration, so downstream
 conflict timing is untouched) is statically valid and collision-free
-against all other agents' current, possibly already-shortcut, paths.
+against all other agents' current, possibly already-shortcut, paths. The
+interpolation is walked one step at a time and abandoned at its first
+failing step; the current paths are one conflict table, into which each
+agent's shortened path is swapped.
 
 The straight interpolation is rounded back onto the lattice and is monotone
 per coordinate, so its motion cost is the minimum achievable between the
@@ -38,60 +41,69 @@ class ShortcutReport:
     accepted: int = 0
 
 
-def _interpolate_span(a: Config, b: Config, duration: int) -> list[Config]:
-    """Straight lattice interpolation from a to b over ``duration`` steps,
-    rounded half-up per coordinate (monotone in each coordinate)."""
-    out = [a]
-    for k in range(1, duration):
-        s = k / duration
-        out.append(tuple(int(math.floor(x + (y - x) * s + 0.5))
-                         for x, y in zip(a, b)))
-    out.append(b)
+def _walk_span(domain: LatticeDomain, agent: int, waypoints: list[Config],
+               a: int, b: int, hits) -> list[Config] | None:
+    """The straight lattice interpolation from ``waypoints[a]`` to
+    ``waypoints[b]`` over b - a steps, rounded half-up per coordinate
+    (monotone in each coordinate), generated one step at a time. The walk
+    stops, returning None, at the first step that is not statically valid
+    or hits another agent (``hits`` is their ``step_conflicts`` counter).
+    A step equal to the path's own step at the same time is not tested:
+    the current solution is conflict-free."""
+    qa, qb = waypoints[a], waypoints[b]
+    duration = b - a
+    out = [qa]
+    q = qa
+    for k in range(1, duration + 1):
+        if k < duration:
+            s = k / duration
+            q2 = tuple([math.floor(x + (y - x) * s + 0.5) for x, y in zip(qa, qb)])
+        else:
+            q2 = qb
+        t = a + k - 1
+        if (q != waypoints[t] or q2 != waypoints[t + 1]) and not (
+                domain.step_valid(agent, q, q2) and not hits(q, t, q2, first=True)):
+            return None
+        out.append(q2)
+        q = q2
     return out
-
-
-def _span_ok(domain: LatticeDomain, agent: int, candidate: list[Config],
-             start_t: int, hits) -> bool:
-    """Every step of ``candidate`` is statically valid and hits none of the
-    other agents (``hits`` is their ``step_conflicts`` counter)."""
-    return all(domain.step_valid(agent, q, q2) and not hits(q, t, q2, first=True)
-               for t, (q, q2) in enumerate(zip(candidate, candidate[1:]), start_t))
 
 
 def shortcut_solution(solution: Solution,
                       domain: LatticeDomain) -> tuple[Solution, ShortcutReport]:
     """Shorten each agent's motion without changing durations or creating
-    new conflicts. Input must be conflict-free."""
+    new conflicts. Input must be conflict-free (else ``ValueError``) and
+    made of statically valid steps, as every planner here returns: a
+    retraced step of the input is not tested again."""
     if detect_conflicts(solution.paths, domain):
         raise ValueError("invalid input solution")
     n = len(solution.paths)
     paths = list(solution.paths)
     report = ShortcutReport(agents=[None] * n)  # indexed by agent
+    table = domain.Table(enumerate(paths))  # the current paths, id order
     for agent in range(n):
         waypoints = list(paths[agent].waypoints)
         before_steps = path_cost(paths[agent])
         before_motion = domain.motion_cost_path(agent, waypoints)
-        hits = domain.step_conflicts(
-            agent, [(j, paths[j]) for j in range(n) if j != agent])
+        hits = domain.step_conflicts(agent, table.derive(agent))
         a = 0
         while a < len(waypoints) - 2:
-            replaced = False
             for b in range(len(waypoints) - 1, a + 1, -1):
-                candidate = _interpolate_span(waypoints[a], waypoints[b], b - a)
-                if candidate == waypoints[a:b + 1]:
-                    a = b  # already straight
-                    replaced = True
-                    break
-                report.attempted += 1
-                if _span_ok(domain, agent, candidate, a, hits):
-                    waypoints[a:b + 1] = candidate
+                walk = _walk_span(domain, agent, waypoints, a, b, hits)
+                if walk is None:
+                    report.attempted += 1
+                    continue
+                if walk != waypoints[a:b + 1]:  # else already straight
+                    report.attempted += 1
                     report.accepted += 1
-                    a = b
-                    replaced = True
-                    break
-            if not replaced:
+                    waypoints[a:b + 1] = walk
+                a = b
+                break
+            else:
                 a += 1
-        paths[agent] = Path(tuple(waypoints))
+        if tuple(waypoints) != paths[agent].waypoints:
+            paths[agent] = Path(tuple(waypoints))
+            table.set(agent, paths[agent])
         report.agents[agent] = AgentShortcut(
             before_steps, path_cost(paths[agent]),
             before_motion, domain.motion_cost_path(agent, waypoints))

@@ -73,3 +73,10 @@ def one_joint_arm(link=1.0, resolution=math.pi / 16, obstacles=(),
                   thickness=0.04, cache=True) -> ArmDomain:
     return ArmDomain([ArmSpec((0.0, 0.0), (link,), resolution, ((-16, 16),))],
                      list(obstacles), thickness=thickness, cache=cache)
+
+
+def facing_arms() -> ArmDomain:
+    """Two 1-link arms whose full-circle sweeps overlap."""
+    res = math.pi / 4
+    return ArmDomain([ArmSpec((-0.5, 0.0), (0.7,), res, ((-4, 4),)),
+                      ArmSpec((0.5, 0.0), (0.7,), res, ((-4, 4),))])

@@ -8,10 +8,11 @@ geometry predicates, which are the common ground truth.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
-from mamp.core import EDGE, VERTEX, Conflict, ConstraintIndex, step_collides
+from mamp.core import EDGE, VERTEX, Conflict, ConstraintIndex, Path, step_collides
 from mamp.domains.arm import Segment, _chain, _seg_seg_dist2
 
 
@@ -278,6 +279,42 @@ def scan_conflicts(paths, domain):
                     out.append(Conflict(EDGE, (i, j), t, ((a, a2), (b, b2))))
     out.sort(key=Conflict.sort_key)
     return out
+
+
+def shortcut_reference(paths, domain):
+    """The shortcutter's greedy scan, written as candidate-then-check: per
+    agent in id order, from each span start a, try b from the path end
+    down; build the whole straight interpolation (half-up rounding), skip
+    it as already straight when it equals the path, else count an attempt
+    and accept it iff every step is statically valid and hits none of the
+    other agents' current paths (one pair test per agent, in id order).
+    Returns (paths, attempted, accepted)."""
+    paths = list(paths)
+    attempted = accepted = 0
+    for agent in range(len(paths)):
+        others = [(j, p) for j, p in enumerate(paths) if j != agent]
+        wps = list(paths[agent].waypoints)
+        a = 0
+        while a < len(wps) - 2:
+            for b in range(len(wps) - 1, a + 1, -1):
+                qa, qb, d = wps[a], wps[b], b - a
+                cand = [qa] + [tuple(int(math.floor(x + (y - x) * (k / d) + 0.5))
+                                     for x, y in zip(qa, qb)) for k in range(1, d)] + [qb]
+                if cand == wps[a:b + 1]:
+                    a = b
+                    break
+                attempted += 1
+                if all(domain.step_valid(agent, q, q2)
+                       and not step_conflicts(domain, agent, others, q, t, q2, True)
+                       for t, (q, q2) in enumerate(zip(cand, cand[1:]), a)):
+                    wps[a:b + 1] = cand
+                    accepted += 1
+                    a = b
+                    break
+            else:
+                a += 1
+        paths[agent] = Path(tuple(wps))
+    return paths, attempted, accepted
 
 
 def select_ct_node(nodes, wH, f1H, f2H):

@@ -10,8 +10,9 @@ from mamp import (ArmDomain, ArmSpec, Constraint, Disc, GridDomain, Path,
 from mamp.core import ConstraintIndex
 from mamp.domains.arm import MAX_COORD, _CONTACT, _chain, _seg_seg_dist2
 from mamp.domains.base import LatticeDomain
+from mamp.lowlevel import LLParams, solve
 
-from corpus import one_joint_arm, two_link_arm_pair
+from corpus import facing_arms, one_joint_arm, two_link_arm_pair
 from oracles import (_pt_seg_dist2, dense_edge_valid, exact_seg_seg_dist2,
                      sampled_edge_valid, sampled_pair_collision, step_conflicts)
 
@@ -60,19 +61,22 @@ class TestGridSuccessors:
         assert g.stats.cache_hits == 1
 
 
-def _walks(size=3):
-    """Grid paths of 1-8 waypoints made of waits and unit moves."""
-    steps = st.sampled_from(((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
-    cell = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+def _walks(size=3, dims=2, lo=0):
+    """Lattice paths of 1-8 waypoints made of waits and unit moves, every
+    coordinate in lo .. lo + size - 1 (by default, on a 3x3 grid)."""
+    units = [tuple(s if k == d else 0 for k in range(dims))
+             for d in range(dims) for s in (1, -1)]
+    steps = st.sampled_from([(0,) * dims] + units)
+    cell = st.tuples(*[st.integers(lo, lo + size - 1)] * dims)
 
     def walk(args):
-        (x, y), moves = args
-        wps = [(x, y)]
-        for dx, dy in moves:
-            x2, y2 = x + dx, y + dy
-            if 0 <= x2 < size and 0 <= y2 < size:
-                x, y = x2, y2
-            wps.append((x, y))
+        q, moves = args
+        wps = [q]
+        for m in moves:
+            q2 = tuple(v + dv for v, dv in zip(q, m))
+            if all(lo <= v < lo + size for v in q2):
+                q = q2
+            wps.append(q)
         return Path(tuple(wps))
     return st.tuples(cell, st.lists(steps, max_size=7)).map(walk)
 
@@ -106,6 +110,79 @@ class TestStepConflicts:
         assert count((1, 0), 1, (1, 0)) == 0   # waits as the other leaves
         assert count((1, 0), 5, (0, 0)) == 1   # onto the parked end
         assert g.stats.pair_queries == 0 and g.stats.geometry_checks == 0
+
+
+class TestConflictTable:
+    """A table reached by any sequence of in-place sets and drops and of
+    derivations holds the model's pairs in the model's order, reports the
+    largest held duration as ``last``, and counts every move at every time
+    before and past its span exactly as one pair test per held path; a
+    derivation leaves its source as it was."""
+
+    @staticmethod
+    def _ops(paths, agents):
+        # (agent, its new path or None to drop it, derive or set in place)
+        return st.lists(st.tuples(st.sampled_from(agents),
+                                  st.one_of(st.none(), paths), st.booleans()),
+                        max_size=8)
+
+    def _reach(self, domain, ops):
+        table, model, sources = domain.Table(), {}, []
+        for agent, path, derive in ops:
+            if path is None and agent not in model:
+                continue
+            if derive:
+                sources.append((table, list(model.items())))
+                table = table.derive(agent, path)
+            else:
+                table.set(agent, path)
+            if path is None:
+                del model[agent]
+            else:
+                model[agent] = path
+        return table, list(model.items()), sources
+
+    def _check_counts(self, domain, ref, configs, table, pairs):
+        assert list(table) == pairs
+        assert table.last == max((p.duration for _, p in pairs), default=0)
+        count = domain.step_conflicts(0, table)
+        span = max(getattr(table, "span", 0), table.last)
+        for q in configs:
+            for q2 in ref.successor_configs(0, q):
+                for t in range(span + 3):
+                    for first in (False, True):
+                        want = step_conflicts(ref, 0, pairs, q, t, q2, first)
+                        assert count(q, t, q2, first) == want, (q, t, q2, first)
+
+    def _check(self, build, configs, ops):
+        domain, ref = build(), build()
+        table, pairs, sources = self._reach(domain, ops)
+        self._check_counts(domain, ref, configs, table, pairs)
+        for source, source_pairs in sources:
+            self._check_counts(domain, ref, configs, source, source_pairs)
+        return table, pairs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_grid(self, data):
+        cells = list(itertools.product(range(3), range(3)))
+        table, pairs = self._check(lambda: GridDomain(3, 3), cells,
+                                   data.draw(self._ops(_walks(), [1, 2, 3, 4])))
+        # solve reads the table as it reads the same pairs: the parked sums
+        # and the parked check use `last`, not the span
+        start, goal = data.draw(st.sampled_from(cells)), data.draw(st.sampled_from(cells))
+        for params, hard in ((LLParams(w2=1.5, f2="conflicts", horizon=12), False),
+                             (LLParams(horizon=12), True)):
+            got, want = (solve(GridDomain(3, 3), 0, start, goal, params=params,
+                               other_paths=others, hard_paths=hard, record_trace=True)
+                         for others in (table, pairs))
+            assert (got.path, got.trace, got.status) == (want.path, want.trace, want.status)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_arm(self, data):
+        self._check(facing_arms, [(k,) for k in range(-4, 5)],
+                    data.draw(self._ops(_walks(9, 1, -4), [1])))
 
 
 class TestArmKinematics:

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mamp import (Conflict, Constraint, GridDomain, Path, PlannerConfig,
-                  Solution, certify, detect_conflicts, plan,
-                  plan_coupled_oracle, plan_prioritized, solve, violates)
+                  Solution, certify, detect_conflicts, generate_scene,
+                  parse_scene, plan, plan_coupled_oracle, plan_prioritized,
+                  solve, violates)
 from mamp.core import VERTEX
+from mamp.domains.base import LatticeDomain
 from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
 from mamp.lowlevel import LLParams
 import mamp.highlevel as hl
@@ -171,6 +173,58 @@ class TestExpandCTNode:
             llp, None, itertools.count(1))
         assert [c.cost for c in warm] == [c.cost for c in cold]
         assert warm_exp < cold_exp
+
+
+class TestConflictTableFollowsTheTree:
+    """`plan` keeps one conflict table that follows the expanded node; its
+    plans, counts and expansions are those of a fresh table built from each
+    node's paths, and the table a replan receives never changes after."""
+
+    def _runs(self, build, starts, goals, config, monkeypatch):
+        fresh = hl.expand_ct_node
+        given = []
+        solve = hl.lowlevel.solve
+
+        def spy(domain, agent, *args, **kw):
+            others = kw.get("other_paths")
+            if others is not None:
+                given.append((others, list(others)))
+            return solve(domain, agent, *args, **kw)
+        monkeypatch.setattr(hl.lowlevel, "solve", spy)
+        kept = plan(build(), starts, goals, config)
+        assert all(list(others) == pairs for others, pairs in given)
+        assert not any(isinstance(v, LatticeDomain) for others, _ in given
+                       for v in vars(others).values())
+        monkeypatch.setattr(hl, "expand_ct_node",
+                            lambda *args: fresh(*args[:8]))  # no table passed
+        rebuilt = plan(build(), starts, goals, config)
+        assert (kept.status, kept.solution, kept.cost, kept.lb) == \
+            (rebuilt.status, rebuilt.solution, rebuilt.cost, rebuilt.lb)
+        assert (kept.ct_expansions, kept.ll_expansions, kept.collision_checks) == \
+            (rebuilt.ct_expansions, rebuilt.ll_expansions, rebuilt.collision_checks)
+        return kept
+
+    @pytest.mark.parametrize("variant", ["ecbs", "xecbs"])
+    def test_grid(self, variant, monkeypatch):
+        config = cfg(variant, w1L=2.0, w2L=1.3, wH=1.3)
+        expanded = 0
+        for seed in range(1, 6):
+            scene = parse_scene(generate_scene("corridor-grid", n=10, width=12,
+                                               height=12, seed=seed))
+            r = self._runs(scene.build_domain, scene.starts, scene.goals, config,
+                           monkeypatch)
+            expanded += r.ct_expansions
+        assert expanded >= 15
+
+    @pytest.mark.parametrize("variant", ["ecbs", "xecbs"])
+    def test_arm(self, variant, monkeypatch):
+        # circle-arms scenes whose constraint trees grow to 11-25 nodes
+        config = cfg(variant, w1L=50.0, w2L=1.3, wH=1.3)
+        for seed in (2001, 2002):
+            scene = parse_scene(generate_scene("circle-arms", n=3, seed=seed))
+            r = self._runs(scene.build_domain, scene.starts, scene.goals, config,
+                           monkeypatch)
+            assert r.success and r.ct_expansions >= 10
 
 
 def _fake_node(index, cost, lb, n_conflicts):

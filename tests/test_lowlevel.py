@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path,
                   generate_scene, parse_scene)
 from mamp.core import ConstraintIndex
-from mamp.lowlevel import (FocalQueue, LLParams, push_partial_experience,
-                           solve, suffix, try_insert_or_update)
+from mamp.lowlevel import (FocalQueue, LLParams, SearchNode,
+                           push_partial_experience, solve, suffix,
+                           try_insert_or_update)
 
-from corpus import grid_corpus, one_joint_arm
+from corpus import facing_arms, grid_corpus, one_joint_arm
 from oracles import (EagerFocalQueue, grid_bfs_cost, plain_focal_wastar,
                      timed_optimal_cost)
 
@@ -110,6 +111,58 @@ class TestSolveExamples:
         g = GridDomain(3, 3)
         r = solve(g, 0, (1, 1), (1, 1))
         assert r.success and r.cost == 0 and len(r.path) == 1
+
+    @pytest.mark.parametrize("table", [False, True], ids=["pairs", "table"])
+    def test_other_paths_naming_the_agent_rejected(self, table):
+        # the agent would count conflicts against its own old path
+        g = GridDomain(3, 3)
+        others = [(1, Path(((2, 2),))), (0, Path(((0, 0), (1, 0))))]
+        with pytest.raises(ValueError, match="agent 0 itself"):
+            solve(g, 0, (0, 0), (2, 0), params=LLParams(f2="conflicts"),
+                  other_paths=g.Table(others) if table else others)
+
+    def test_other_paths_naming_an_agent_twice_rejected(self):
+        # counted twice, or collapsed to one by a table keyed by agent
+        g = GridDomain(3, 3)
+        p = Path(((1, 1),))
+        with pytest.raises(ValueError, match="agent 1 has two paths"):
+            solve(g, 0, (0, 0), (2, 0), params=LLParams(f2="conflicts"),
+                  other_paths=[(1, p), (2, p), (1, p)])
+
+
+class TestPlainPop:
+    """With w2 = 1 and f1 as f2, FOCAL is OPEN, and the queue pops OPEN
+    directly, in the order that the OPEN/FOCAL path gives."""
+
+    class _Split(FocalQueue):
+        def _keys(self, n):  # an equal FOCAL key, but not OPEN's own
+            key, value, _ = super()._keys(n)
+            return key, value, (*key,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0, 4))),
+                    max_size=40))
+    def test_pops_match_the_open_focal_path(self, ops):
+        # an op is a pop (None) or an insert of (g, h); drained at the end
+        queues = [FocalQueue(), self._Split()]
+        for index, op in enumerate(ops + [None] * len(ops)):
+            if op is None:
+                plain, split = (q.pop() for q in queues)
+                assert (plain and plain.state) == (split and split.state)
+                assert queues[0].base == queues[1].base
+            else:
+                g, h = op
+                for q in queues:
+                    q.insert(SearchNode(((index,), g), h, g, g + h))
+        if any(op is not None for op in ops):
+            assert queues[0]._plain and not queues[1]._plain
+
+    @pytest.mark.parametrize("w2, f2, plain", [(1.0, "f1", True), (1.3, "f1", False),
+                                               (1.0, "conflicts", False)])
+    def test_chosen_by_w2_and_key_shape(self, w2, f2, plain):
+        q = FocalQueue(w2=w2, f2=f2)
+        q.push_root(((0, 0), 0))
+        assert q._plain is plain
 
 
 class TestTryInsertOrUpdate:
@@ -556,13 +609,6 @@ class TestConflictTableParity:
                 assert table.collision_checks <= pairs.collision_checks
 
 
-def _facing_arms() -> ArmDomain:
-    """Two 1-link arms whose full-circle sweeps overlap."""
-    res = math.pi / 4
-    return ArmDomain([ArmSpec((-0.5, 0.0), (0.7,), res, ((-4, 4),)),
-                      ArmSpec((0.5, 0.0), (0.7,), res, ((-4, 4),))])
-
-
 class TestHardPathsOracle:
     """The prioritized-planning low level (a hard collision filter on every
     step and a parked check at the goal) finds the oracle's optimal cost
@@ -603,7 +649,7 @@ class TestHardPathsOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_arm(self, data):
-        domain = _facing_arms()
+        domain = facing_arms()
         self._check(data, domain,
                     lambda j: [(k,) for k in range(-4, 5)
                                if domain.is_state_valid(j, (k,))], [1])
@@ -677,6 +723,6 @@ class TestGenerateOnce:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_arm(self, data):
-        domain = _facing_arms()
+        domain = facing_arms()
         configs = [(k,) for k in range(-4, 5) if domain.is_state_valid(0, (k,))]
         self._check(data, domain, configs, [1], [(5,), (-6,), (0, 0)])

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from mamp import (GridDomain, Path, PlannerConfig, Solution, detect_conflicts,
-                  path_cost, plan, shortcut_solution)
+                  generate_scene, parse_scene, path_cost, plan, run_planner,
+                  shortcut_solution)
 
 from corpus import grid_corpus, one_joint_arm, two_link_arm_pair
+from oracles import shortcut_reference
 
 RES = math.pi / 16
 
@@ -105,3 +107,64 @@ class TestShortcutProperties:
             assert report.agents[i].motion_after <= report.agents[i].motion_before + 1e-12
         again, _ = shortcut_solution(out, d)
         assert again.paths == out.paths
+
+
+class TestLazyWalk:
+    """The shortcutter walks each span lazily and skips the tests of the
+    path's own steps, yet keeps the paths and the counts of the plain
+    candidate-then-check scan (``oracles.shortcut_reference``)."""
+
+    def _check(self, build, paths):
+        out, report = shortcut_solution(Solution(tuple(paths)), build())
+        want, attempted, accepted = shortcut_reference(paths, build())
+        assert list(out.paths) == want
+        assert (report.attempted, report.accepted) == (attempted, accepted)
+        return out
+
+    def test_grid_planner_solutions(self):
+        configs = [PlannerConfig.make(v, w1L=2.0, w2L=1.3, wH=1.3, timeout=10.0,
+                                      horizon=10) for v in ("ecbs", "xecbs")]
+        configs += [PlannerConfig.make(v, timeout=10.0, horizon=10) for v in ("cbs", "pp")]
+        checked = 0
+        for inst in grid_corpus(seed=53, count=30, agents=(2, 3)):
+            for config in configs:
+                r = run_planner(inst.domain(), inst.starts, inst.goals, config)
+                if r.success:
+                    self._check(inst.domain, r.solution.paths)
+                    checked += 1
+        assert checked >= 50
+
+    def test_grid_random_walks(self):
+        # detours, waits and uneven lengths that no planner returns
+        rng = random.Random(97)
+        checked = 0
+        while checked < 300:
+            blocked = {(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randint(0, 3))}
+            domain = GridDomain(4, 4, blocked)
+            free = [(x, y) for x in range(4) for y in range(4) if (x, y) not in blocked]
+            paths = []
+            for _ in range(rng.randint(1, 3)):
+                wps = [rng.choice(free)]
+                for _ in range(rng.randint(0, 9)):
+                    q = rng.choice(domain.successor_configs(0, wps[-1]))
+                    wps.append(q)
+                paths.append(Path(tuple(wps)))
+            if detect_conflicts(paths, domain):
+                continue
+            self._check(lambda: GridDomain(4, 4, blocked), paths)
+            checked += 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_arm_planner_solutions(self, n):
+        checked = 0
+        for seed in range(6):
+            scene = parse_scene(generate_scene("circle-arms", n=n, seed=seed, links=2,
+                                               walk=6))
+            r = run_planner(scene.build_domain(), scene.starts, scene.goals,
+                            PlannerConfig.make("ecbs", w1L=50.0, w2L=1.3, wH=1.3,
+                                               timeout=10.0))
+            if r.success:
+                once = self._check(scene.build_domain, r.solution.paths)
+                self._check(scene.build_domain, once.paths)  # multi-joint steps
+                checked += 1
+        assert checked >= 3
