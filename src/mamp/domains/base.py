@@ -1,13 +1,13 @@
 """Shared domain plumbing: the integer lattice, validity caching, geometry
-counters, constraint-aware successor expansion and conflict counting
-against a conflict table. A domain supplies `bounds`, the `_check_*`
-geometry, `heuristic` and `motion_cost_path`, and optionally
-`_cache_agent`, `step_conflicts` and its own `ConflictTable` kind.
+counters, constraint-aware successor expansion and the conflict table. A
+domain supplies `bounds`, the `_check_*` geometry, `heuristic` and
+`motion_cost_path`, and optionally `_cache_agent` and its own
+`ConflictTable` kind (`Table`).
 
 Each per-step question has one answer here. `step_valid` is the static
 legality of one timestep (a wait, or a move to a valid configuration along
-a valid edge); `step_conflicts` counts the fixed other agents that a step
-hits. The low level and the shortcutter ask both methods; the solution
+a valid edge); a table's `step_conflicts` counts the fixed other agents
+that a step hits. The low level and the shortcutter ask both; the solution
 certificate (`certify`) asks `step_valid`.
 
 The fixed other agents are one `ConflictTable` per query, kept current one
@@ -38,10 +38,11 @@ class ConflictTable:
     insertion order; iterating a table yields the pairs. `set` changes one
     agent's path in place, an agent already held keeping its place in the
     order; `derive` makes a changed copy, so that a table handed to a
-    replan never changes after. A table holds no domain.
+    replan never changes after. A table holds no domain. An empty path, or
+    dropping an agent not held, is a ``ValueError`` that changes nothing.
 
-    This kind keeps only the pairs; a domain whose counter reads an index
-    subclasses it (`GridDomain.Table`).
+    This kind keeps only the pairs and counts conflicts by pair tests; a
+    kind that counts from an index subclasses it (`grid.AvoidanceTable`).
     """
 
     def __init__(self, pairs=()):
@@ -72,10 +73,12 @@ class ConflictTable:
     def set(self, agent: int, path: Path | None) -> None:
         """In place: ``agent`` holds ``path`` from now on, or nothing when
         ``path`` is None."""
-        if path is None:
-            del self._paths[agent]
-        else:
+        if path is not None and not path.waypoints:
+            raise ValueError(f"agent {agent} has an empty path")
+        if path is not None:
             self._paths[agent] = path
+        elif self._paths.pop(agent, None) is None:
+            raise ValueError(f"agent {agent} has no path to drop")
 
     def derive(self, agent: int, path: Path | None = None) -> "ConflictTable":
         """A copy in which ``agent`` holds ``path``, or nothing when
@@ -88,6 +91,32 @@ class ConflictTable:
         new = copy.copy(self)
         new._paths = dict(self._paths)
         return new
+
+    def step_conflicts(self, domain: "LatticeDomain", agent: int):
+        """Conflict counter of ``agent`` against the held paths, asked once
+        per replan of a table that is not changed afterwards.
+
+        The returned ``count(q, t, q2, first=False)`` is the number of held
+        agents that the move q -> q2 departing at t collides with under
+        ``core.step_collides``, or with ``first`` 1 as soon as one does.
+        Held agents stay parked at their last waypoint, so the step list at
+        ``last`` serves every later time. This kind runs the pair tests in
+        the table's order; a kind with an index answers from it instead,
+        with the same counts.
+        """
+        last = self.last
+        steps = [[(jid, pj.at(t), pj.at(t + 1)) for jid, pj in self]
+                 for t in range(last + 1)]
+
+        def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
+            n = 0
+            for jid, a, b in steps[min(t, last)]:
+                if step_collides(domain, agent, q, q2, jid, a, b):
+                    if first:
+                        return 1
+                    n += 1
+            return n
+        return count
 
 
 @dataclass
@@ -116,8 +145,8 @@ class LatticeDomain:
 
     Subclasses provide the coordinate ranges (`bounds`), the raw geometry
     (`_check_*`), `heuristic` and `motion_cost_path`, and may override
-    `_cache_agent`, `step_conflicts` and `Table`, the kind of conflict
-    table that their counter reads. From `bounds` this class states the
+    `_cache_agent` and `Table`, the kind of conflict table that counts
+    their agents' conflicts. From `bounds` this class states the
     bounds test, the unit moves, the lattice-edge test, the vertex count and
     the degree; on top it layers caching, memoization and counting.
     """
@@ -262,34 +291,6 @@ class LatticeDomain:
             if self.cache:
                 self._successors[key] = out
         return out
-
-    def step_conflicts(self, agent: int, others):
-        """Conflict counter of ``agent`` against the fixed paths ``others``,
-        a `ConflictTable` or ``(agent id, Path)`` pairs, asked once per
-        replan.
-
-        The returned ``count(q, t, q2, first=False)`` is the number of other
-        agents that the move q -> q2 departing at t collides with under
-        ``core.step_collides``, or with ``first`` 1 as soon as one does.
-        Other agents stay parked at their last waypoint, so the step list at
-        the last path end serves every later time. This version runs the
-        pair tests in the order of ``others``; a domain may answer from an
-        index in its own table kind instead, with the same counts.
-        """
-        others = list(others)
-        last = max((p.duration for _, p in others), default=0)
-        steps = [[(jid, pj.at(t), pj.at(t + 1)) for jid, pj in others]
-                 for t in range(last + 1)]
-
-        def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
-            n = 0
-            for jid, a, b in steps[min(t, last)]:
-                if step_collides(self, agent, q, q2, jid, a, b):
-                    if first:
-                        return 1
-                    n += 1
-            return n
-        return count
 
 
 def get_successors(domain: LatticeDomain, agent: int, state: tuple[Config, int],

@@ -15,7 +15,8 @@ class AvoidanceTable(ConflictTable):
     stands for every later time. A path's rows are added and removed alone,
     and a path swapped for another keeps the rows of their shared prefix:
     the span grows, extending the held paths' parked rows, only when a
-    longer path comes in, and never shrinks."""
+    longer path comes in, and never shrinks. The table counts conflicts
+    from these rows alone (`step_conflicts`): no pair test runs."""
 
     def __init__(self, pairs=()):
         self.arrivals: dict = {}
@@ -25,11 +26,11 @@ class AvoidanceTable(ConflictTable):
 
     def set(self, agent: int, path: Path | None) -> None:
         old = self.path(agent)
+        super().set(agent, path)  # rejects a bad call before any row moves
         # rows before the step into the first changed waypoint stay
         lo = 0 if old is None or path is None else max(first_change(old, path) - 1, 0)
         if old is not None:
             self._rows(old, lo, self.span, -1)
-        super().set(agent, path)
         if path is None:
             return
         if path.duration > self.span:
@@ -63,6 +64,19 @@ class AvoidanceTable(ConflictTable):
         new.arrivals = dict(self.arrivals)
         new.moves = dict(self.moves)
         return new
+
+    def step_conflicts(self, domain: LatticeDomain, agent: int):
+        """The conflict counter read off the rows: the arrivals at the
+        target cell plus the moves that swap with this one."""
+        arrivals, moves, span = self.arrivals, self.moves, self.span
+
+        def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
+            t = min(t, span)
+            n = arrivals.get((q2, t), 0)
+            if q != q2:
+                n += moves.get((q2, q, t), 0)
+            return min(n, 1) if first else n
+        return count
 
 
 class GridDomain(LatticeDomain):
@@ -108,22 +122,6 @@ class GridDomain(LatticeDomain):
         if qi0 == qj0 and qi1 == qj1:  # same cell / same sweep
             return True
         return qi0 == qj1 and qi1 == qj0 and qi0 != qi1  # swap
-
-    def step_conflicts(self, agent: int, others):
-        """The conflict counter read off an `AvoidanceTable` (built from
-        ``others`` unless it is one): the arrivals at the target cell plus
-        the moves that swap with this one; no pair test runs."""
-        if not isinstance(others, AvoidanceTable):
-            others = AvoidanceTable(others)
-        arrivals, moves, span = others.arrivals, others.moves, others.span
-
-        def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
-            t = min(t, span)
-            n = arrivals.get((q2, t), 0)
-            if q != q2:
-                n += moves.get((q2, q, t), 0)
-            return min(n, 1) if first else n
-        return count
 
     def heuristic(self, agent: int, q: Config, goal: Config) -> float:
         return abs(q[0] - goal[0]) + abs(q[1] - goal[1])

@@ -199,11 +199,14 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
     """Branch on the first conflict: one child per derived constraint, with
     only the affected agent replanned, warm-started (with experience on)
     from the path it replaces. A focal replan counts conflicts against
-    ``table``, a conflict table holding exactly ``node``'s paths (built
-    when not given), less the replanned agent. Children whose replan fails
-    are discarded. Returns (children, low-level expansions, timed_out)."""
-    if config.focal and table is None:
-        table = domain.Table(enumerate(node.paths))
+    ``table`` (empty if not given) less its agent, after each `Path` of
+    ``node`` that the table does not hold as the same object is swapped in.
+    A failed replan makes no child. Returns (children, LL expansions, timed_out)."""
+    if config.focal:
+        table = domain.Table() if table is None else table
+        for j, path in enumerate(node.paths):
+            if table.path(j) is not path:
+                table.set(j, path)
     children: list[CTNode] = []
     ll_total = 0
     for c in conflict_to_constraints(node.conflicts[0]):
@@ -274,7 +277,7 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     indexer = itertools.count(1)
     ct_expansions = 0
     # the paths of the node last expanded, kept current one agent at a time
-    table = domain.Table(enumerate(root.paths)) if config.focal else None
+    table = domain.Table()
 
     while True:
         if query.expired():
@@ -288,10 +291,6 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
                              ct_expansions=ct_expansions,
                              constraints=node.constraints)
         ct_expansions += 1
-        if table is not None:
-            for j, path in enumerate(node.paths):
-                if table.path(j) is not path:
-                    table.set(j, path)
         children, ll_exp, timed_out = expand_ct_node(
             domain, node, starts, goals, config, llp, deadline, indexer, table)
         query.ll_expansions += ll_exp

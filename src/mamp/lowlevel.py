@@ -108,11 +108,11 @@ class FocalQueue:
     only the value. Admission to FOCAL settles the node and re-reads its
     FOCAL key, so FOCAL orders exact keys only.
 
-    When w2 = 1 and ``_keys`` gives the OPEN key itself as the FOCAL key
-    (the value being the key's first entry), FOCAL is OPEN: it holds
-    exactly the nodes of least f1, so its least key is OPEN's least key.
-    Such a queue, told by its keys, keeps OPEN alone and pops it directly,
-    in the same order.
+    When ``_keys`` gives the OPEN key itself as the FOCAL key (the value
+    being the key's first entry), FOCAL's least key is OPEN's least key at
+    any w2: values are never negative, so the least-key node is within
+    ``w2 * base``. Such a queue, told by its keys, keeps OPEN alone and pops
+    it directly, in the same order and with the same ``base``.
     """
 
     def __init__(self, w1: float = 1.0, w2: float = 1.0, f2: str = "f1",
@@ -149,7 +149,7 @@ class FocalQueue:
         n.in_open = True
         f1_key, value, f2_key = self._keys(n)
         heappush(self._open, f1_key + (n,))
-        if f2_key is f1_key and self.w2 == 1.0:  # FOCAL is OPEN
+        if f2_key is f1_key:  # FOCAL is OPEN
             self._plain = True
             return
         if value <= self._bound:
@@ -325,7 +325,7 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     last = others.last  # every other agent is parked from here on
     checks_before = domain.stats.geometry_checks
     # other agents that the move q -> q2 departing at t collides with
-    hits = domain.step_conflicts(agent, others)
+    hits = others.step_conflicts(domain, agent)
 
     cc_fn = None
     if params.f2 == "conflicts" and others:

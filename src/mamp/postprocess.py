@@ -47,7 +47,7 @@ def _walk_span(domain: LatticeDomain, agent: int, waypoints: list[Config],
     ``waypoints[b]`` over b - a steps, rounded half-up per coordinate
     (monotone in each coordinate), generated one step at a time. The walk
     stops, returning None, at the first step that is not statically valid
-    or hits another agent (``hits`` is their ``step_conflicts`` counter).
+    or hits another agent (``hits`` is their conflict table's counter).
     A step equal to the path's own step at the same time is not tested:
     the current solution is conflict-free."""
     qa, qb = waypoints[a], waypoints[b]
@@ -85,7 +85,7 @@ def shortcut_solution(solution: Solution,
         waypoints = list(paths[agent].waypoints)
         before_steps = path_cost(paths[agent])
         before_motion = domain.motion_cost_path(agent, waypoints)
-        hits = domain.step_conflicts(agent, table.derive(agent))
+        hits = table.derive(agent).step_conflicts(domain, agent)
         a = 0
         while a < len(waypoints) - 2:
             for b in range(len(waypoints) - 1, a + 1, -1):

@@ -9,7 +9,8 @@ from mamp import (ArmDomain, ArmSpec, Constraint, Disc, GridDomain, Path,
                   Segment, forward_kinematics, get_successors)
 from mamp.core import ConstraintIndex
 from mamp.domains.arm import MAX_COORD, _CONTACT, _chain, _seg_seg_dist2
-from mamp.domains.base import LatticeDomain
+from mamp.domains.base import ConflictTable, LatticeDomain
+from mamp.domains.grid import AvoidanceTable
 from mamp.lowlevel import LLParams, solve
 
 from corpus import facing_arms, one_joint_arm, two_link_arm_pair
@@ -91,8 +92,8 @@ class TestStepConflicts:
         others = [(j + 1, p) for j, p in enumerate(paths)]
         last = max(p.duration for p in paths)
         grid = GridDomain(3, 3)
-        counters = [grid.step_conflicts(0, others),
-                    LatticeDomain.step_conflicts(grid, 0, others)]
+        counters = [AvoidanceTable(others).step_conflicts(grid, 0),
+                    ConflictTable(others).step_conflicts(grid, 0)]
         ref = GridDomain(3, 3)
         for q in [(x, y) for x in range(3) for y in range(3)]:
             for q2 in ref.successor_configs(0, q):
@@ -104,7 +105,7 @@ class TestStepConflicts:
 
     def test_grid_table_runs_no_pair_test(self):
         g = GridDomain(3, 1)
-        count = g.step_conflicts(0, [(1, Path(((2, 0), (1, 0), (0, 0))))])
+        count = AvoidanceTable([(1, Path(((2, 0), (1, 0), (0, 0))))]).step_conflicts(g, 0)
         assert count((0, 0), 0, (1, 0)) == 1   # both arrive at (1, 0)
         assert count((0, 0), 1, (1, 0)) == 1   # swap (0,0) <-> (1,0)
         assert count((1, 0), 1, (1, 0)) == 0   # waits as the other leaves
@@ -145,7 +146,7 @@ class TestConflictTable:
     def _check_counts(self, domain, ref, configs, table, pairs):
         assert list(table) == pairs
         assert table.last == max((p.duration for _, p in pairs), default=0)
-        count = domain.step_conflicts(0, table)
+        count = table.step_conflicts(domain, 0)
         span = max(getattr(table, "span", 0), table.last)
         for q in configs:
             for q2 in ref.successor_configs(0, q):
@@ -183,6 +184,39 @@ class TestConflictTable:
     def test_arm(self, data):
         self._check(facing_arms, [(k,) for k in range(-4, 5)],
                     data.draw(self._ops(_walks(9, 1, -4), [1])))
+
+
+class TestConflictTableRejects:
+    """An empty path, or dropping an agent that the table does not hold, is
+    a ValueError naming the agent, and the table is left as it was."""
+
+    HELD = [(1, Path(((0, 0), (1, 0), (1, 1)))), (2, Path(((2, 2),)))]
+
+    @staticmethod
+    def _state(table):
+        return {k: dict(v) if isinstance(v, dict) else v
+                for k, v in vars(table).items()}
+
+    @pytest.mark.parametrize("kind", [ConflictTable, AvoidanceTable])
+    @pytest.mark.parametrize("call, message", [
+        (lambda t: t.set(1, Path(())), "agent 1 has an empty path"),
+        (lambda t: t.set(3, Path(())), "agent 3 has an empty path"),
+        (lambda t: t.derive(2, Path(())), "agent 2 has an empty path"),
+        (lambda t: t.set(3, None), "agent 3 has no path to drop"),
+        (lambda t: t.derive(3), "agent 3 has no path to drop"),
+    ], ids=["set-held-empty", "set-new-empty", "derive-empty", "drop", "derive-drop"])
+    def test_rejected_call_leaves_the_table(self, kind, call, message):
+        table = kind(self.HELD)
+        before = self._state(table)
+        with pytest.raises(ValueError, match=message):
+            call(table)
+        assert self._state(table) == before
+        assert list(table) == self.HELD and table.last == 2
+
+    @pytest.mark.parametrize("kind", [ConflictTable, AvoidanceTable])
+    def test_built_with_an_empty_path(self, kind):
+        with pytest.raises(ValueError, match="agent 1 has an empty path"):
+            kind([(1, Path(()))])
 
 
 class TestArmKinematics:

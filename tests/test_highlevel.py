@@ -1,9 +1,11 @@
+import copy
 import itertools
 import math
+import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mamp import (Conflict, Constraint, GridDomain, Path, PlannerConfig,
@@ -16,7 +18,7 @@ from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
 from mamp.lowlevel import LLParams
 import mamp.highlevel as hl
 
-from corpus import grid_corpus, two_link_arm_pair
+from corpus import facing_arms, grid_corpus, random_grid_instance, two_link_arm_pair
 from oracles import select_ct_node, timed_optimal_cost
 
 
@@ -225,6 +227,109 @@ class TestConflictTableFollowsTheTree:
             r = self._runs(scene.build_domain, scene.starts, scene.goals, config,
                            monkeypatch)
             assert r.success and r.ct_expansions >= 10
+
+
+class TestOneSyncPath:
+    """`expand_ct_node` brings any table of the same tree to the node's
+    paths. Given a table last synced to a sibling, an ancestor or a node
+    that held a longer path, it expands the node exactly as from no table,
+    and leaves the table holding the node's pairs in id order."""
+
+    @staticmethod
+    def _root(domain, starts, goals, llp):
+        paths, lbs = [], []
+        for i, (s, g) in enumerate(zip(starts, goals)):
+            res = solve(domain, i, s, g, params=llp)
+            paths.append(res.path)
+            lbs.append(res.lower_bound)
+        return CTNode(0, frozenset(), tuple(paths), sum(p.duration for p in paths),
+                      tuple(detect_conflicts(paths, domain)), tuple(lbs))
+
+    @staticmethod
+    def _expand(domain, node, starts, goals, config, llp, *table):
+        checks = domain.stats.geometry_checks
+        children, ll, timed_out = expand_ct_node(
+            domain, node, starts, goals, config, llp, None, itertools.count(100),
+            *table)
+        return ([(c.index, c.constraints, c.paths, c.cost, c.conflicts, c.lbs)
+                 for c in children], ll, timed_out,
+                domain.stats.geometry_checks - checks)
+
+    LLP = LLParams(w1=1.5, w2=1.3, f2="conflicts")
+
+    def _conflicting(self, rng, draw):
+        # the first drawn instance whose root has a conflict to branch on
+        while True:
+            domain, starts, goals = draw(rng)
+            root = self._root(domain, starts, goals, self.LLP)
+            if root.conflicts:
+                return domain, starts, goals, root
+
+    def _check(self, data, instance):
+        domain, starts, goals, root = instance
+        config = cfg(data.draw(st.sampled_from(["ecbs", "xecbs"])),
+                     w1L=self.LLP.w1, w2L=self.LLP.w2, wH=1.3)
+        llp = self.LLP
+        # grow a tree through one table, expanding nodes in a drawn order
+        nodes, table, indexer = [root], domain.Table(), itertools.count(1)
+        for _ in range(data.draw(st.integers(1, 4))):
+            node = data.draw(st.sampled_from([n for n in nodes if n.conflicts]))
+            children, _, _ = expand_ct_node(domain, node, starts, goals, config,
+                                            llp, None, indexer, table)
+            nodes.extend(children)
+            if not any(n.conflicts for n in nodes):
+                break
+        node = data.draw(st.sampled_from([n for n in nodes if n.conflicts]))
+        fresh = domain.Table(enumerate(node.paths))
+        if getattr(table, "span", 0) > getattr(fresh, "span", 0):
+            event("the table's span exceeds a fresh table's")
+        cold = copy.deepcopy(domain)
+        assert self._expand(domain, node, starts, goals, config, llp, table) == \
+            self._expand(cold, node, starts, goals, config, llp)
+        assert list(table) == list(enumerate(node.paths))
+        assert table.last == fresh.last
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 10**6))
+    def test_grid(self, data, seed):
+        def draw(rng):
+            inst = random_grid_instance(rng, feasible=False)
+            return inst.domain(), inst.starts, inst.goals
+        self._check(data, self._conflicting(random.Random(seed), draw))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 10**6))
+    def test_arm(self, data, seed):
+        # two facing one-link arms, at endpoints where they stand clear
+        def draw(rng):
+            domain = facing_arms()
+            while True:
+                starts, goals = ([(rng.randint(-4, 4),) for _ in range(2)]
+                                 for _ in range(2))
+                if not (domain.configs_collide(starts) or domain.configs_collide(goals)):
+                    return domain, starts, goals
+        self._check(data, self._conflicting(random.Random(seed), draw))
+
+    def test_longer_path_widens_the_span(self):
+        # a child delays an agent; back at the root, the grid table's span
+        # exceeds a fresh table's, and the root expands as from no table
+        domain = GridDomain(3, 2)
+        starts, goals = SWAP["starts"], SWAP["goals"]
+        config = cfg("ecbs", w1L=self.LLP.w1, w2L=self.LLP.w2, wH=1.3)
+        llp = self.LLP
+        root = self._root(domain, starts, goals, llp)
+        table = domain.Table()
+        children, _, _ = expand_ct_node(domain, root, starts, goals, config, llp,
+                                        None, itertools.count(1), table)
+        expand_ct_node(domain, children[0], starts, goals, config, llp, None,
+                       itertools.count(1), table)
+        fresh = domain.Table(enumerate(root.paths))
+        assert table.span > fresh.span
+        cold = copy.deepcopy(domain)
+        assert self._expand(domain, root, starts, goals, config, llp, table) == \
+            self._expand(cold, root, starts, goals, config, llp)
+        assert list(table) == list(enumerate(root.paths))
+        assert table.last == fresh.last
 
 
 def _fake_node(index, cost, lb, n_conflicts):

@@ -129,22 +129,35 @@ class TestSolveExamples:
             solve(g, 0, (0, 0), (2, 0), params=LLParams(f2="conflicts"),
                   other_paths=[(1, p), (2, p), (1, p)])
 
+    @pytest.mark.parametrize("f2, hard", [("f1", False), ("conflicts", False),
+                                          ("f1", True)])
+    @pytest.mark.parametrize("build, start, goal", [
+        (lambda: GridDomain(3, 3), (0, 0), (2, 2)),
+        (facing_arms, (-2,), (2,)),
+    ], ids=["grid", "arm"])
+    def test_empty_other_path_rejected(self, build, start, goal, f2, hard):
+        # its rows, or the base counter's step list, would be read past its end
+        with pytest.raises(ValueError, match="agent 1 has an empty path"):
+            solve(build(), 0, start, goal, params=LLParams(f2=f2),
+                  other_paths=[(1, Path(()))], hard_paths=hard)
+
 
 class TestPlainPop:
-    """With w2 = 1 and f1 as f2, FOCAL is OPEN, and the queue pops OPEN
-    directly, in the order that the OPEN/FOCAL path gives."""
+    """With f1 as f2, FOCAL's least key is OPEN's at any w2, and the queue
+    pops OPEN directly, in the order that the OPEN/FOCAL path gives."""
 
     class _Split(FocalQueue):
         def _keys(self, n):  # an equal FOCAL key, but not OPEN's own
             key, value, _ = super()._keys(n)
             return key, value, (*key,)
 
+    @pytest.mark.parametrize("w2", [1.0, 1.3, 2.0])
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0, 4))),
                     max_size=40))
-    def test_pops_match_the_open_focal_path(self, ops):
+    def test_pops_match_the_open_focal_path(self, w2, ops):
         # an op is a pop (None) or an insert of (g, h); drained at the end
-        queues = [FocalQueue(), self._Split()]
+        queues = [FocalQueue(w2=w2), self._Split(w2=w2)]
         for index, op in enumerate(ops + [None] * len(ops)):
             if op is None:
                 plain, split = (q.pop() for q in queues)
@@ -157,7 +170,7 @@ class TestPlainPop:
         if any(op is not None for op in ops):
             assert queues[0]._plain and not queues[1]._plain
 
-    @pytest.mark.parametrize("w2, f2, plain", [(1.0, "f1", True), (1.3, "f1", False),
+    @pytest.mark.parametrize("w2, f2, plain", [(1.0, "f1", True), (1.3, "f1", True),
                                                (1.0, "conflicts", False)])
     def test_chosen_by_w2_and_key_shape(self, w2, f2, plain):
         q = FocalQueue(w2=w2, f2=f2)
@@ -585,7 +598,7 @@ class TestConflictTableParity:
         # the grid's conflict table must steer every search exactly as the
         # base class's pair tests do: same paths, costs and expansions
         from mamp import PlannerConfig, generate_scene, parse_scene, run_planner
-        from mamp.domains.base import LatticeDomain
+        from mamp.domains.base import ConflictTable
         cases = [(inst.domain, inst.starts, inst.goals)
                  for inst in grid_corpus(seed=61, count=10)]
         for seed in (3, 4):
@@ -598,8 +611,7 @@ class TestConflictTableParity:
             for config in configs:
                 table = run_planner(build(), s, g, config)
                 pairs_domain = build()
-                pairs_domain.step_conflicts = LatticeDomain.step_conflicts.__get__(
-                    pairs_domain)
+                pairs_domain.Table = ConflictTable  # the base kind's pair tests
                 pairs = run_planner(pairs_domain, s, g, config)
                 assert table.status == pairs.status
                 assert (table.cost, table.ll_expansions, table.ct_expansions) == \
