@@ -307,7 +307,7 @@ _OBSTACLE_VALUES = {"auto": "auto", "true": True, "yes": True, "1": True,
 
 def parse_generate_spec(spec: str) -> tuple[str, dict]:
     """Parse 'kind:key=value,key=value' CLI shorthand; every key must be a
-    keyword of `generate_scene`."""
+    keyword of `generate_scene`, given at most once."""
     kind, _, rest = spec.partition(":")
     params: dict = {}
     if rest:
@@ -319,6 +319,8 @@ def parse_generate_spec(spec: str) -> tuple[str, dict]:
             value = value.strip()
             if key not in _GENERATOR_KEYS:
                 raise ValueError(f"unknown generator parameter {key!r}")
+            if key in params:
+                raise ValueError(f"generator parameter {key!r} given twice")
             if key == "obstacle":
                 if value not in _OBSTACLE_VALUES:
                     raise ValueError(f"obstacle must be one of "
@@ -359,42 +361,67 @@ def dump_solution(scene_id: str, planner: str, trial: int,
     return "\n".join(lines) + "\n"
 
 
+_DUMP_HEADER = ("scene", "planner", "trial", "cost_steps", "lb", "w1l",
+                "cost_rad_post")
+
+
 def revalidate_dump(scene_text: str, dump_text: str) -> tuple[bool, str]:
     """Re-check a dumped solution from its serialized form alone: parse it,
     then `certify` it against the scene with the stored cost and the
-    w1L*w2L*wH bound of the stored lower bound. A malformed dump yields
-    (False, reason) as well."""
+    w1L*w2L*wH bound of the stored lower bound. A well-formed dump has each
+    header line at most once and outside a path (``cost_steps`` required,
+    the weights line exactly ``w1l A w2l B wh C``), and paths ``path 0``,
+    ``path 1``, ... each closed by ``endpath``, whose waypoint lines start
+    with their own index. Anything else yields (False, "malformed dump: ...")."""
     scene = parse_scene(scene_text)
     paths: list[Path] = []
-    cost_steps = None
-    lb = None
-    factor = 1.0
+    header: dict[str, list[str]] = {}
     current: list | None = None
+
+    def value(key, convert, default="0"):  # a header line's one value
+        args = header.get(key, [default])
+        if len(args) != 1:
+            raise ValueError(f"{key!r} takes one value, not {len(args)}")
+        return convert(args[0])
     try:
         for line in dump_text.splitlines():
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "cost_steps":
-                cost_steps = int(parts[1])
-            elif parts[0] == "lb":
-                lb = None if parts[1] == "-" else float(parts[1])
-            elif parts[0] == "w1l":
-                factor = float(parts[1]) * float(parts[3]) * float(parts[5])
-            elif parts[0] == "path":
+            key, args = parts[0], parts[1:]
+            if current is not None:
+                if parts == ["endpath"]:
+                    paths.append(Path(tuple(current)))
+                    current = None
+                elif key == str(len(current)):
+                    current.append(tuple(int(v) for v in args))
+                else:
+                    raise ValueError(f"{line!r} in path {len(paths)}")
+            elif key == "path":
+                if args != [str(len(paths))]:
+                    raise ValueError(f"{line!r} where 'path {len(paths)}' is due")
                 current = []
-            elif parts[0] == "endpath":
-                if current is None:
-                    raise ValueError("'endpath' outside a path")
-                paths.append(Path(tuple(current)))
-                current = None
-            elif current is not None:
-                current.append(tuple(int(v) for v in parts[1:]))
-        if cost_steps is None:
+            elif key in header:
+                raise ValueError(f"second {key!r} line")
+            elif key in _DUMP_HEADER:
+                header[key] = args
+            else:
+                raise ValueError(f"unexpected line {line!r}")
+        if current is not None:
+            raise ValueError(f"path {len(paths)} has no 'endpath'")
+        if "cost_steps" not in header:
             raise ValueError("no 'cost_steps' line")
+        cost_steps = value("cost_steps", int)
+        value("trial", int)
+        value("cost_rad_post", float)
+        lb = value("lb", lambda v: None if v == "-" else float(v), "-")
+        weights = header.get("w1l", ["1", "w2l", "1", "wh", "1"])
+        if len(weights) != 5 or weights[1::2] != ["w2l", "wh"]:
+            raise ValueError(f"bad weights line 'w1l {' '.join(weights)}'")
+        factor = math.prod(map(float, weights[::2]))
         if not math.isfinite(factor) or (lb is not None and not math.isfinite(lb)):
             raise ValueError(f"non-finite bound: lb {lb}, weights {factor}")
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         return False, f"malformed dump: {exc}"
     return certify(scene.build_domain(), scene.starts, scene.goals,
                    Solution(tuple(paths)), cost=cost_steps,

@@ -210,8 +210,9 @@ class LatticeDomain:
         return out
 
     def is_lattice_edge(self, agent: int, q: Config, q2: Config) -> bool:
-        """A wait or one unit move: L1 distance <= 1, in exact integers."""
-        return sum(map(abs, map(operator.sub, q, q2))) <= 1
+        """A wait or one unit move: configurations of one length at L1
+        distance <= 1, in exact integers."""
+        return len(q) == len(q2) and sum(map(abs, map(operator.sub, q, q2))) <= 1
 
     def num_vertices(self, agent: int) -> int:
         return math.prod(hi - lo + 1 for lo, hi in self.bounds(agent))

@@ -115,7 +115,7 @@ class GridDomain(LatticeDomain):
     def is_lattice_edge(self, agent: int, q: Config, q2: Config) -> bool:
         # the base rule unrolled for two coordinates: the experience walk
         # asks it thousands of times per query, at a fifth of the cost
-        return abs(q[0] - q2[0]) + abs(q[1] - q2[1]) <= 1
+        return len(q) == len(q2) == 2 and abs(q[0] - q2[0]) + abs(q[1] - q2[1]) <= 1
 
     def _check_pairwise(self, i, qi0, qi1, j, qj0, qj1) -> bool:
         self.stats.geometry_checks += 1

@@ -120,7 +120,6 @@ class CTNode:
 
 @dataclass
 class PlanResult:
-    variant: str
     status: str                 # success | infeasible | exhausted | timeout
     solution: Solution | None = None
     cost: int | None = None
@@ -157,17 +156,18 @@ class CTQueue(lowlevel.FocalQueue):
 
 
 class _Query:
-    """Frame of one planning query: the normalised instance, the clock and
-    deadline, the geometry-counter snapshot and the low-level tally."""
+    """Frame of one planning query, whichever planner runs it: the
+    normalised instance, the clock and deadline, the geometry-counter
+    snapshot and the low-level tally."""
 
-    def __init__(self, domain: LatticeDomain, starts, goals, variant: str,
+    def __init__(self, domain: LatticeDomain, starts, goals,
                  deadline: float | None):
         self.starts = [tuple(s) for s in starts]
         self.goals = [tuple(g) for g in goals]
         self.n = len(self.starts)
         if len(self.goals) != self.n or getattr(domain, "num_agents", self.n) != self.n:
             raise ValueError("mismatched agent counts")
-        self.domain, self.variant, self.deadline = domain, variant, deadline
+        self.domain, self.deadline = domain, deadline
         self.ll_expansions = 0
         self.t0 = time.perf_counter()
         self.checks0 = domain.stats.geometry_checks
@@ -181,7 +181,7 @@ class _Query:
 
     def end(self, status: str, **kw) -> PlanResult:
         checks = self.domain.stats.geometry_checks - self.checks0
-        return PlanResult(self.variant, status, ll_expansions=self.ll_expansions,
+        return PlanResult(status, ll_expansions=self.ll_expansions,
                           collision_checks=checks,
                           wall_time=time.perf_counter() - self.t0, **kw)
 
@@ -230,12 +230,12 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         new_lbs = node.lbs[:agent] + (max(node.lbs[agent], res.lower_bound),) \
             + node.lbs[agent + 1:]
         # The replanned agent's pairs keep the conflicts that arrive before
-        # its path's first change and are rescanned from there, at the
-        # latest from the branched conflict: the new constraint moves the
-        # agent off it, so a real one is never kept.
-        since = min(first_change(node.paths[agent], res.path),
-                    _arrival(node.conflicts[0]))
-        kept = [cf for cf in node.conflicts
+        # its path's first change and are rescanned from there. The new
+        # constraint forbids the old path's vertex or move at the branched
+        # conflict, so first_change (capped at the shorter path's end) is at
+        # most its arrival; the slice drops it on a hand-built node, too.
+        since = first_change(node.paths[agent], res.path)
+        kept = [cf for cf in node.conflicts[1:]
                 if agent not in cf.agents or _arrival(cf) < since]
         kept.extend(conflicts_with_agent(new_paths, domain, agent, since))
         kept.sort(key=Conflict.sort_key)
@@ -250,8 +250,7 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     """Constraint-tree search; returns a conflict-free solution whose cost is
     within w1L*w2L*wH of the optimal sum of costs, or a failure result on
     colliding starts or goals, timeout or exhaustion."""
-    query = _Query(domain, starts, goals, config.variant,
-                   time.monotonic() + config.timeout)
+    query = _Query(domain, starts, goals, time.monotonic() + config.timeout)
     if query.clash():
         return query.end("infeasible")
     starts, goals, deadline = query.starts, query.goals, query.deadline
@@ -308,8 +307,7 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
     failure of any agent, fail the whole query (incomplete by design)."""
     if config is None:
         config = PlannerConfig.make("pp")
-    query = _Query(domain, starts, goals, config.variant,
-                   time.monotonic() + config.timeout)
+    query = _Query(domain, starts, goals, time.monotonic() + config.timeout)
     order = tuple(order) if order is not None else tuple(range(query.n))
     if sorted(order) != list(range(query.n)):
         raise ValueError("order must be a permutation of the agents")
@@ -344,7 +342,7 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
     waits at the goal are free until the agent leaves, at which point the
     streak is charged retroactively, which makes g the exact sum of costs.
     """
-    query = _Query(domain, starts, goals, "coupled", deadline)
+    query = _Query(domain, starts, goals, deadline)
     starts, goals, n = query.starts, query.goals, query.n
     for i in range(n):
         if not domain.is_state_valid(i, starts[i]) or not domain.is_state_valid(i, goals[i]):

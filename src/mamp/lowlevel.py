@@ -351,9 +351,9 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
 
     def walk_ok(q: Config, t: int, q2: Config) -> bool:
         # the experience walk stops at a step the search could not take
-        # (also to a configuration of the wrong length), or one that hits
-        # another agent, if given
-        return (t + 1 <= horizon and len(q2) == len(q) and cidx.allows_move(q, t, q2)
+        # (a lattice edge joins configurations of one length), or one that
+        # hits another agent, if given
+        return (t + 1 <= horizon and cidx.allows_move(q, t, q2)
                 and domain.is_lattice_edge(agent, q, q2)
                 and domain.step_valid(agent, q, q2)
                 and not hits(q, t, q2, first=True))

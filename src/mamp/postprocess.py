@@ -14,7 +14,8 @@ per coordinate, so its motion cost is the minimum achievable between the
 span endpoints: replacements can never increase either cost metric. On
 grids every replacement step must remain a unit move or wait; on arms a
 step may rotate several joints at once (these appear only in post-processed
-solutions and are validated by interpolated collision checks).
+solutions and are validated by interpolated collision checks). The report
+counts spans only; a cost before or after is read off the paths.
 """
 
 from __future__ import annotations
@@ -22,23 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Config, Path, Solution, detect_conflicts, path_cost
+from .core import Config, Path, Solution, detect_conflicts
 from .domains.base import LatticeDomain
 
 
 @dataclass
-class AgentShortcut:
-    steps_before: int
-    steps_after: int
-    motion_before: float
-    motion_after: float
-
-
-@dataclass
 class ShortcutReport:
-    agents: list[AgentShortcut]
-    attempted: int = 0
-    accepted: int = 0
+    attempted: int = 0  # spans tried: rejected, or accepted and changed
+    accepted: int = 0   # spans replaced by their straight interpolation
 
 
 def _walk_span(domain: LatticeDomain, agent: int, waypoints: list[Config],
@@ -72,19 +64,17 @@ def _walk_span(domain: LatticeDomain, agent: int, waypoints: list[Config],
 def shortcut_solution(solution: Solution,
                       domain: LatticeDomain) -> tuple[Solution, ShortcutReport]:
     """Shorten each agent's motion without changing durations or creating
-    new conflicts. Input must be conflict-free (else ``ValueError``) and
-    made of statically valid steps, as every planner here returns: a
-    retraced step of the input is not tested again."""
+    new conflicts; return the result and its span counts. Input must be
+    conflict-free (else ``ValueError``) and made of statically valid steps,
+    as every planner here returns: a retraced step of the input is not
+    tested again."""
     if detect_conflicts(solution.paths, domain):
         raise ValueError("invalid input solution")
-    n = len(solution.paths)
     paths = list(solution.paths)
-    report = ShortcutReport(agents=[None] * n)  # indexed by agent
+    report = ShortcutReport()
     table = domain.Table(enumerate(paths))  # the current paths, id order
-    for agent in range(n):
+    for agent in range(len(paths)):
         waypoints = list(paths[agent].waypoints)
-        before_steps = path_cost(paths[agent])
-        before_motion = domain.motion_cost_path(agent, waypoints)
         hits = table.derive(agent).step_conflicts(domain, agent)
         a = 0
         while a < len(waypoints) - 2:
@@ -104,7 +94,4 @@ def shortcut_solution(solution: Solution,
         if tuple(waypoints) != paths[agent].waypoints:
             paths[agent] = Path(tuple(waypoints))
             table.set(agent, paths[agent])
-        report.agents[agent] = AgentShortcut(
-            before_steps, path_cost(paths[agent]),
-            before_motion, domain.motion_cost_path(agent, waypoints))
     return Solution(tuple(paths)), report

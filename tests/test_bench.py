@@ -96,6 +96,10 @@ class TestDefaultParams:
         with pytest.raises(ValueError, match="bad generator parameter"):
             parse_generate_spec("circle-arms:n")
 
+    def test_repeated_generator_key_rejected(self):
+        with pytest.raises(ValueError, match="generator parameter 'n' given twice"):
+            parse_generate_spec("circle-arms:n=2,n=3")
+
     @pytest.mark.parametrize("value,flag", [
         ("auto", "auto"), ("true", True), ("yes", True), ("1", True),
         ("false", False), ("no", False), ("0", False)])
@@ -195,8 +199,24 @@ class TestRunExperiments:
         GOOD_DUMP.replace("lb -", "lb inf"),
         GOOD_DUMP.replace("w1l 1.0", "w1l nan"),
         GOOD_DUMP.replace("cost_steps 2\n", ""),
+        GOOD_DUMP.replace("path 0", "path 9"),
+        GOOD_DUMP.replace("\n1 1 0\n", "\n7 1 0\n").replace("\n2 2 0\n", "\n3 2 0\n"),
+        GOOD_DUMP + "hello world\n",
+        GOOD_DUMP.replace("lb -", "lb 1\nlb 4"),
+        GOOD_DUMP.replace("cost_steps 2", "cost_steps 2\ncost_steps 2"),
+        GOOD_DUMP.replace("w1l 1.0 w2l 1.0 wh 1.0", "w1l 1.0 foo 1.0 bar 1.0"),
+        GOOD_DUMP.replace("w1l 1.0 w2l 1.0 wh 1.0", "w1l 1.0 w2l 1.0 wh 1.0 wh 1.0"),
+        GOOD_DUMP.replace("lb -", "lb - 4"),
+        GOOD_DUMP.replace("\n1 1 0\n", "\n1 1 0\nlb 3\n"),
+        GOOD_DUMP.replace("\n1 1 0\n", "\n1 1 0\npath 1\n"),
+        GOOD_DUMP.replace("endpath\n", ""),
+        GOOD_DUMP.replace("endpath", "endpath 0"),
+        "trial x\n" + GOOD_DUMP,
     ], ids=["stray-endpath", "short-w1l", "bad-cost", "bad-waypoint",
-            "lb-nan", "lb-inf", "weight-nan", "no-cost"])
+            "lb-nan", "lb-inf", "weight-nan", "no-cost", "path-misnumbered",
+            "waypoints-misnumbered", "unknown-line", "lb-twice", "cost-twice",
+            "weights-misnamed", "weights-long", "lb-two-values", "header-in-path",
+            "path-in-path", "ends-in-path", "endpath-with-value", "bad-trial"])
     def test_revalidator_is_total(self, dump):
         ok, detail = revalidate_dump(WALL_DOC, dump)
         assert not ok and "malformed" in detail
@@ -302,12 +322,14 @@ class TestCli:
         ("circle-arms:n=2,resolution=1e300", "resolution"),
         ("circle-arms:link_length=1e5", "link_length"),
         ("circle-arms:radius=1e5", "radius"),
+        ("circle-arms:n=2,n=3", "n"),
     ], ids=["unknown-key", "links-0", "links-negative", "resolution-0",
             "resolution-inf", "thickness-nan", "thickness-negative",
             "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf",
             "obstacle-maybe", "retries", "n-not-int", "walk-not-int",
             "seed-not-int", "width-0", "height-negative", "walk-negative",
-            "walk-0", "resolution-overflows", "link_length-too-long", "radius-too-far"])
+            "walk-0", "resolution-overflows", "link_length-too-long", "radius-too-far",
+            "repeated-key"])
     def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
         out = tmp_path / "out.csv"
         assert main(["--generate", generate, "--planners", "cbs",

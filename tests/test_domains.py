@@ -558,6 +558,19 @@ class TestLattice:
         assert not d.in_bounds(0, q + (0,))
         assert d.num_vertices(0) == len(set(cells) - blocked)
 
+    @pytest.mark.parametrize("make,q,q2", [
+        (one_joint_arm, (1,), (1, 7)),
+        (one_joint_arm, (1, 7), (1,)),
+        (two_link_arm_pair, (0, 0), (0,)),
+        (lambda: GridDomain(3, 3), (0, 0), (0,)),
+        (lambda: GridDomain(3, 3), (0,), (0, 0)),
+        (lambda: GridDomain(3, 3), (0, 0), (0, 0, 1)),
+    ], ids=["arm-1-2", "arm-2-1", "arm2-2-1", "grid-2-1", "grid-1-2", "grid-2-3"])
+    def test_configs_of_different_lengths_are_no_edge(self, make, q, q2):
+        d = make()
+        assert not d.is_lattice_edge(0, q, q2)
+        assert not LatticeDomain.is_lattice_edge(d, 0, q, q2)
+
 
 class TestArmSuccessors:
     def test_lower_limit_clamps(self):

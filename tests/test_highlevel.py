@@ -12,7 +12,7 @@ from mamp import (Conflict, Constraint, GridDomain, Path, PlannerConfig,
                   Solution, certify, detect_conflicts, generate_scene,
                   parse_scene, plan, plan_coupled_oracle, plan_prioritized,
                   solve, violates)
-from mamp.core import VERTEX
+from mamp.core import VERTEX, first_change
 from mamp.domains.base import LatticeDomain
 from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
 from mamp.lowlevel import LLParams
@@ -330,6 +330,63 @@ class TestOneSyncPath:
             self._expand(cold, root, starts, goals, config, llp)
         assert list(table) == list(enumerate(root.paths))
         assert table.last == fresh.last
+
+
+class TestRescanFromFirstChange:
+    """In a tree grown from real conflicts, each child's replanned path
+    first differs from its parent's no later than the branched conflict's
+    arrival, so rescanning that agent's pairs from the first change alone
+    leaves the child's conflicts equal to a full scan of its paths."""
+
+    WEIGHTS = {"cbs": {}, "xcbs": dict(w1L=1.5),
+               "ecbs": dict(w1L=1.5, w2L=1.3, wH=1.3),
+               "xecbs": dict(w1L=1.5, w2L=1.3, wH=1.3)}
+
+    def _check(self, data, rng, draw):
+        variant = data.draw(st.sampled_from(sorted(self.WEIGHTS)))
+        config = cfg(variant, **self.WEIGHTS[variant])
+        llp = LLParams(w1=config.w1L, w2=config.w2L,
+                       f2="conflicts" if config.focal else "f1")
+        while True:  # the first drawn instance with a conflict to branch on
+            domain, starts, goals = draw(rng)
+            root = TestOneSyncPath._root(domain, starts, goals, llp)
+            if root.conflicts:
+                break
+        nodes, table, indexer = [root], domain.Table(), itertools.count(1)
+        for _ in range(data.draw(st.integers(1, 6))):
+            branchable = [n for n in nodes if n.conflicts]
+            if not branchable:
+                break
+            node = data.draw(st.sampled_from(branchable))
+            children, _, _ = expand_ct_node(domain, node, starts, goals, config,
+                                            llp, None, indexer, table)
+            for child in children:
+                (c,) = child.constraints - node.constraints
+                assert first_change(node.paths[c.agent], child.paths[c.agent]) \
+                    <= hl._arrival(node.conflicts[0])
+                assert child.conflicts == tuple(detect_conflicts(child.paths, domain))
+            nodes.extend(children)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 10**6))
+    def test_grid(self, data, seed):
+        def draw(rng):
+            inst = random_grid_instance(rng, feasible=False)
+            return inst.domain(), inst.starts, inst.goals
+        self._check(data, random.Random(seed), draw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 10**6))
+    def test_arm(self, data, seed):
+        # two facing one-link arms, at endpoints where they stand clear
+        def draw(rng):
+            domain = facing_arms()
+            while True:
+                starts, goals = ([(rng.randint(-4, 4),) for _ in range(2)]
+                                 for _ in range(2))
+                if not (domain.configs_collide(starts) or domain.configs_collide(goals)):
+                    return domain, starts, goals
+        self._check(data, random.Random(seed), draw)
 
 
 def _fake_node(index, cost, lb, n_conflicts):

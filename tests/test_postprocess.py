@@ -17,10 +17,11 @@ class TestShortcutExamples:
     def test_backtracking_detour_straightened(self):
         d = one_joint_arm()
         sol = Solution((Path(((0,), (1,), (2,), (3,), (2,))),))
-        out, report = shortcut_solution(sol, d)
-        entry = report.agents[0]
-        assert entry.motion_after < entry.motion_before
-        assert entry.motion_after == pytest.approx(2 * RES)
+        out, _ = shortcut_solution(sol, d)
+        before = d.motion_cost_path(0, sol.paths[0].waypoints)
+        after = d.motion_cost_path(0, out.paths[0].waypoints)
+        assert after < before
+        assert after == pytest.approx(2 * RES)
         assert len(out.paths[0]) == len(sol.paths[0])  # duration preserved
         assert out.paths[0].waypoints[0] == (0,)
         assert out.paths[0].end == (2,)
@@ -57,8 +58,9 @@ class TestShortcutExamples:
         d = one_joint_arm(obstacles=[wall])
         # detour over the top of the wall between 0 and 2 is the only way
         sol = Solution((Path(((4,), (3,), (2,), (3,), (4,))),))
-        out, report = shortcut_solution(sol, d)
-        assert report.agents[0].motion_after <= report.agents[0].motion_before
+        out, _ = shortcut_solution(sol, d)
+        assert d.motion_cost_path(0, out.paths[0].waypoints) \
+            <= d.motion_cost_path(0, sol.paths[0].waypoints)
 
 
 class TestShortcutProperties:
@@ -76,13 +78,13 @@ class TestShortcutProperties:
             domain, sol = self._solved(inst)
             if sol is None:
                 continue
-            out, report = shortcut_solution(sol, domain)
+            out, _ = shortcut_solution(sol, domain)
             assert detect_conflicts(out.paths, domain) == []
             for i, (before, after) in enumerate(zip(sol.paths, out.paths)):
                 assert len(after) == len(before)
                 assert path_cost(after) <= path_cost(before)
-                entry = report.agents[i]
-                assert entry.motion_after <= entry.motion_before + 1e-12
+                assert domain.motion_cost_path(i, after.waypoints) \
+                    <= domain.motion_cost_path(i, before.waypoints) + 1e-12
 
     def test_idempotent_at_fixpoint(self):
         for inst in self.instances[:15]:
@@ -101,10 +103,11 @@ class TestShortcutProperties:
                  PlannerConfig.make("xecbs", w1L=50.0, w2L=1.3, wH=1.3,
                                     timeout=20.0))
         assert r.success
-        out, report = shortcut_solution(r.solution, d)
+        out, _ = shortcut_solution(r.solution, d)
         assert detect_conflicts(out.paths, d) == []
-        for i in range(2):
-            assert report.agents[i].motion_after <= report.agents[i].motion_before + 1e-12
+        for i, (before, after) in enumerate(zip(r.solution.paths, out.paths)):
+            assert d.motion_cost_path(i, after.waypoints) \
+                <= d.motion_cost_path(i, before.waypoints) + 1e-12
         again, _ = shortcut_solution(out, d)
         assert again.paths == out.paths
 
