@@ -368,8 +368,10 @@ _DUMP_HEADER = ("scene", "planner", "trial", "cost_steps", "lb", "w1l",
 def revalidate_dump(scene_text: str, dump_text: str) -> tuple[bool, str]:
     """Re-check a dumped solution from its serialized form alone: parse it,
     then `certify` it against the scene with the stored cost and the
-    w1L*w2L*wH bound of the stored lower bound. A well-formed dump has each
-    header line at most once and outside a path (``cost_steps`` required,
+    w1L*w2L*wH bound of the stored lower bound; when that passes and the
+    dump has a ``cost_rad_post`` line, shortcut the paths and compare their
+    motion cost with it at the 9 printed decimals. A well-formed dump has
+    each header line at most once and outside a path (``cost_steps`` required,
     the weights line exactly ``w1l A w2l B wh C``), and paths ``path 0``,
     ``path 1``, ... each closed by ``endpath``, whose waypoint lines start
     with their own index. Anything else yields (False, "malformed dump: ...")."""
@@ -413,7 +415,7 @@ def revalidate_dump(scene_text: str, dump_text: str) -> tuple[bool, str]:
             raise ValueError("no 'cost_steps' line")
         cost_steps = value("cost_steps", int)
         value("trial", int)
-        value("cost_rad_post", float)
+        post = value("cost_rad_post", float)
         lb = value("lb", lambda v: None if v == "-" else float(v), "-")
         weights = header.get("w1l", ["1", "w2l", "1", "wh", "1"])
         if len(weights) != 5 or weights[1::2] != ["w2l", "wh"]:
@@ -423,9 +425,15 @@ def revalidate_dump(scene_text: str, dump_text: str) -> tuple[bool, str]:
             raise ValueError(f"non-finite bound: lb {lb}, weights {factor}")
     except ValueError as exc:
         return False, f"malformed dump: {exc}"
-    return certify(scene.build_domain(), scene.starts, scene.goals,
-                   Solution(tuple(paths)), cost=cost_steps,
-                   bound=None if lb is None else factor * lb)
+    domain, solution = scene.build_domain(), Solution(tuple(paths))
+    ok, reason = certify(domain, scene.starts, scene.goals, solution,
+                         cost=cost_steps, bound=None if lb is None else factor * lb)
+    if ok and "cost_rad_post" in header:
+        shortcut = solution_motion_cost(domain, shortcut_solution(solution, domain)[0])
+        if f"{shortcut:.9f}" != f"{post:.9f}":
+            return False, (f"cost_rad_post mismatch: recomputed {shortcut:.9f}, "
+                           f"stored {post:.9f}")
+    return ok, reason
 
 
 def _scene_for_trial(spec: ExperimentSpec, trial: int) -> tuple[str, str]:

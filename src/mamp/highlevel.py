@@ -194,33 +194,50 @@ def _arrival(c: Conflict) -> int:
 
 def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
                    config: PlannerConfig, llp: LLParams, deadline: float | None,
-                   indexer, table: ConflictTable | None = None
-                   ) -> tuple[list[CTNode], int, bool]:
+                   indexer, table: ConflictTable | None = None,
+                   memo: dict | None = None) -> tuple[list[CTNode], int, bool]:
     """Branch on the first conflict: one child per derived constraint, with
     only the affected agent replanned, warm-started (with experience on)
     from the path it replaces. A focal replan counts conflicts against
     ``table`` (empty if not given) less its agent, after each `Path` of
     ``node`` that the table does not hold as the same object is swapped in.
-    A failed replan makes no child. Returns (children, LL expansions, timed_out)."""
+
+    A replan is looked up in ``memo`` (empty if not given) before it is
+    solved, and every result but a timeout is stored there. Its key is the
+    replan's whole input: the agent, its own constraints, the experience
+    (with experience on), the low-level parameters and (focal) the other
+    agents' paths, by value. `lowlevel.solve` is a pure function of these
+    and the static domain, so a hit is what a fresh solve would return; its
+    expansions count as if it had run. A failed replan makes no child.
+    Returns (children, LL expansions, timed_out)."""
     if config.focal:
         table = domain.Table() if table is None else table
         for j, path in enumerate(node.paths):
             if table.path(j) is not path:
                 table.set(j, path)
+    memo = {} if memo is None else memo
     children: list[CTNode] = []
     ll_total = 0
     for c in conflict_to_constraints(node.conflicts[0]):
         agent = c.agent
         new_constraints = node.constraints | {c}
-        cidx = ConstraintIndex(new_constraints, agent)
+        own = frozenset(k for k in new_constraints if k.agent == agent)
+        cidx = ConstraintIndex(own)
         child_llp = llp
         if llp.horizon is not None and llp.horizon < cidx.max_time + 1:
             child_llp = replace(llp, horizon=cidx.max_time + 1)
-        others = table.derive(agent) if config.focal else None
-        experience = node.paths[agent].waypoints if config.use_experience else ()
-        res = lowlevel.solve(domain, agent, starts[agent], goals[agent], cidx,
-                             experience, child_llp, other_paths=others,
-                             deadline=deadline)
+        experience = node.paths[agent] if config.use_experience else None
+        others = node.paths[:agent] + node.paths[agent + 1:] if config.focal else None
+        key = (agent, own, experience, child_llp, others)
+        res = memo.get(key)
+        if res is None:
+            res = lowlevel.solve(
+                domain, agent, starts[agent], goals[agent], cidx,
+                experience.waypoints if experience is not None else (), child_llp,
+                other_paths=table.derive(agent) if config.focal else None,
+                deadline=deadline)
+            if res.status != "timeout":
+                memo[key] = res
         ll_total += res.expansions
         if res.status == "timeout":
             return children, ll_total, True
@@ -249,7 +266,9 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
 def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanResult:
     """Constraint-tree search; returns a conflict-free solution whose cost is
     within w1L*w2L*wH of the optimal sum of costs, or a failure result on
-    colliding starts or goals, timeout or exhaustion."""
+    colliding starts or goals, timeout or exhaustion. A query keeps one
+    conflict table and one memo of replans (see `expand_ct_node`), so it
+    never solves the same replan twice."""
     query = _Query(domain, starts, goals, time.monotonic() + config.timeout)
     if query.clash():
         return query.end("infeasible")
@@ -277,6 +296,7 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     ct_expansions = 0
     # the paths of the node last expanded, kept current one agent at a time
     table = domain.Table()
+    memo: dict = {}  # every finished replan of this query, by its input
 
     while True:
         if query.expired():
@@ -291,7 +311,8 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
                              constraints=node.constraints)
         ct_expansions += 1
         children, ll_exp, timed_out = expand_ct_node(
-            domain, node, starts, goals, config, llp, deadline, indexer, table)
+            domain, node, starts, goals, config, llp, deadline, indexer, table,
+            memo)
         query.ll_expansions += ll_exp
         if timed_out:
             return query.end("timeout", ct_expansions=ct_expansions)

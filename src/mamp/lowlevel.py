@@ -55,7 +55,7 @@ class LLParams:
             raise ValueError(f"f2 must be 'f1' or 'conflicts', got {self.f2!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowLevelResult:
     path: Path | None
     cost: int | None

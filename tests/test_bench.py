@@ -235,6 +235,32 @@ class TestRunExperiments:
         ok, detail = revalidate_dump(WALL_DOC, GOOD_DUMP.replace("lb -", "lb 1"))
         assert not ok and "bound" in detail
 
+    @pytest.mark.parametrize("post,ok", [("2.000000000", True), ("2", True),
+                                         ("99.5", False), ("2.000000001", False),
+                                         ("nan", False)])
+    def test_revalidator_checks_cost_rad_post(self, post, ok):
+        # shortcutting GOOD_DUMP's straight path leaves its motion cost at 2
+        verdict, detail = revalidate_dump(WALL_DOC,
+                                          GOOD_DUMP + f"cost_rad_post {post}\n")
+        assert verdict == ok
+        assert detail == ("ok" if ok else
+                          "cost_rad_post mismatch: recomputed 2.000000000, "
+                          f"stored {float(post):.9f}")
+
+    def test_revalidator_rejects_tampered_cost_rad_post(self, tmp_path):
+        dump_dir = tmp_path / "dumps"
+        spec = ExperimentSpec(planners=_planners("cbs"), trials=1, seed=3,
+                              generate="corridor-grid:n=2,width=5,height=5",
+                              dump_dir=str(dump_dir))
+        run_experiments(spec, log=lambda s: None)
+        text = (dump_dir / os.listdir(dump_dir)[0]).read_text()
+        _sid, scene_text = _scene_for_trial(spec, 0)
+        assert revalidate_dump(scene_text, text) == (True, "ok")
+        broken = re.sub(r"cost_rad_post (\S+)",
+                        lambda m: f"cost_rad_post {float(m[1]) + 1:.9f}", text)
+        ok, detail = revalidate_dump(scene_text, broken)
+        assert not ok and "cost_rad_post mismatch" in detail
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="trials"):
             ExperimentSpec(planners=_planners("cbs"), trials=0,

@@ -389,6 +389,183 @@ class TestRescanFromFirstChange:
         self._check(data, random.Random(seed), draw)
 
 
+class _LoggedMemo(dict):
+    """A replan memo that logs what each lookup returned (None on a miss);
+    `expand_ct_node` looks up each of a conflict's constraints once, in
+    order."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = []
+
+    def get(self, key, default=None):
+        res = super().get(key, default)
+        self.lookups.append(res)
+        return res
+
+
+def _summary(children):
+    return [(c.index, c.constraints, c.paths, c.cost, c.conflicts, c.lbs)
+            for c in children]
+
+
+class TestReplanMemo:
+    """`plan` keeps one memo of replans per query. A hit returns what a
+    fresh `solve` of the same input returns, so a tree grown through one
+    memo is the tree grown without it, expansion counts included."""
+
+    WEIGHTS = TestRescanFromFirstChange.WEIGHTS
+
+    @staticmethod
+    def _llp(config):
+        return LLParams(w1=config.w1L, w2=config.w2L,
+                        f2="conflicts" if config.focal else "f1")
+
+    @staticmethod
+    def _fresh(domain, node, c, starts, goals, config, llp):
+        """A fresh solve of the replan that constraint ``c`` of ``node``
+        asks for, from the node itself."""
+        agent = c.agent
+        others = [(j, p) for j, p in enumerate(node.paths) if j != agent] \
+            if config.focal else None
+        experience = node.paths[agent].waypoints if config.use_experience else ()
+        return solve(domain, agent, starts[agent], goals[agent],
+                     node.constraints | {c}, experience, llp, other_paths=others)
+
+    def _expand(self, instance, cold, node, indexer, table, memo):
+        """Expand ``node`` through ``memo``, checking each hit against a
+        fresh solve on ``cold``, a copy of the domain; returns (children,
+        LL expansions, hits)."""
+        domain, starts, goals, config, llp = instance
+        memo.lookups.clear()
+        children, ll, timed_out = expand_ct_node(
+            domain, node, starts, goals, config, llp, None, indexer, table, memo)
+        assert not timed_out
+        constraints = hl.conflict_to_constraints(node.conflicts[0])
+        assert len(memo.lookups) == len(constraints)
+        hits = 0
+        for c, hit in zip(constraints, memo.lookups):
+            if hit is None:
+                continue
+            hits += 1
+            fresh = self._fresh(cold, node, c, starts, goals, config, llp)
+            assert (hit.path, hit.cost, hit.lower_bound, hit.expansions,
+                    hit.status) == (fresh.path, fresh.cost, fresh.lower_bound,
+                                    fresh.expansions, fresh.status)
+        return children, ll, hits
+
+    def _check(self, data, rng, draw):
+        variant = data.draw(st.sampled_from(sorted(self.WEIGHTS)))
+        config = cfg(variant, **self.WEIGHTS[variant])
+        llp = self._llp(config)
+        while True:  # the first drawn instance with a conflict to branch on
+            domain, starts, goals = draw(rng)
+            cold = copy.deepcopy(domain)  # taken before any search
+            root = TestOneSyncPath._root(domain, starts, goals, llp)
+            if root.conflicts:
+                break
+        # grow a tree through one memo and one table, in a drawn order
+        instance = (domain, starts, goals, config, llp)
+        nodes, table, indexer = [root], domain.Table(), itertools.count(1)
+        memo, grown = _LoggedMemo(), []
+        for _ in range(data.draw(st.integers(1, 8))):
+            branchable = [n for n in nodes if n.conflicts]
+            if not branchable:
+                break
+            node = data.draw(st.sampled_from(branchable))
+            first = next(indexer)
+            children, ll, hits = self._expand(instance, cold, node,
+                                              itertools.chain([first], indexer),
+                                              table, memo)
+            if hits:
+                event("memo hit")
+            grown.append((node, first, children, ll))
+            nodes.extend(children)
+        # tree parity: each node expanded again with a fresh memo per call
+        for node, first, children, ll in grown:
+            again, ll_again, timed_out = expand_ct_node(
+                cold, node, starts, goals, config, llp, None,
+                itertools.count(first))
+            assert not timed_out
+            assert (_summary(again), ll_again) == (_summary(children), ll)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 10**6))
+    def test_grid(self, data, seed):
+        def draw(rng):
+            inst = random_grid_instance(rng, feasible=False)
+            return inst.domain(), inst.starts, inst.goals
+        self._check(data, random.Random(seed), draw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(0, 10**6))
+    def test_arm(self, data, seed):
+        # two facing one-link arms, at endpoints where they stand clear
+        def draw(rng):
+            domain = facing_arms()
+            while True:
+                starts, goals = ([(rng.randint(-4, 4),) for _ in range(2)]
+                                 for _ in range(2))
+                if not (domain.configs_collide(starts) or domain.configs_collide(goals)):
+                    return domain, starts, goals
+        self._check(data, random.Random(seed), draw)
+
+    @pytest.mark.parametrize("variant", ["xcbs", "xecbs"])
+    def test_experience_is_part_of_the_key(self, variant):
+        # two nodes alike but for agent 0's path, the experience of its replan
+        domain = GridDomain(9, 9)
+        starts, goals = [(0, 4), (8, 4)], [(8, 4), (0, 4)]
+        config = cfg(variant, **self.WEIGHTS[variant])
+        llp = self._llp(config)
+        straight = TestOneSyncPath._root(domain, starts, goals, llp)
+        detour = Path(((0, 4), (0, 3)) + tuple((x, 2) for x in range(9))
+                      + ((8, 3), (8, 4)))
+        bent = CTNode(1, frozenset(), (detour, straight.paths[1]),
+                      detour.duration + straight.paths[1].duration,
+                      straight.conflicts[:1], straight.lbs)
+        instance, memo = (domain, starts, goals, config, llp), _LoggedMemo()
+        hits = [self._expand(instance, copy.deepcopy(domain), node,
+                             itertools.count(2), None, memo)[2]
+                for node in (straight, bent)]
+        # agent 1's replan repeats unless its input holds agent 0's path
+        assert hits == [0, 0 if config.focal else 1]
+
+    @pytest.mark.parametrize("variant", sorted(WEIGHTS))
+    def test_timeout_is_not_stored(self, variant):
+        config = cfg(variant, **self.WEIGHTS[variant])
+        llp = self._llp(config)
+        domain, starts, goals = SWAP["domain"](), SWAP["starts"], SWAP["goals"]
+        root = TestOneSyncPath._root(domain, starts, goals, llp)
+        memo = {}
+        children, _, timed_out = expand_ct_node(
+            domain, root, starts, goals, config, llp, time.monotonic() - 1.0,
+            itertools.count(1), None, memo)
+        assert timed_out and children == [] and memo == {}
+        children, _, timed_out = expand_ct_node(
+            domain, root, starts, goals, config, llp, None, itertools.count(1),
+            None, memo)
+        assert not timed_out and len(children) == 2 and len(memo) == 2
+
+    def test_repeated_replans_are_not_solved_again(self, monkeypatch):
+        # a cbs tree in which two replans repeat earlier ones
+        scene = parse_scene(generate_scene("corridor-grid", n=4, width=6,
+                                           height=6, seed=3))
+        solves = []
+        real = hl.lowlevel.solve
+
+        def spy(*args, **kw):
+            res = real(*args, **kw)
+            solves.append(res)
+            return res
+        monkeypatch.setattr(hl.lowlevel, "solve", spy)
+        r = plan(scene.build_domain(), scene.starts, scene.goals, cfg("cbs"))
+        assert r.success and r.ct_expansions > 0
+        replans = 2 * r.ct_expansions  # one per constraint of a branched conflict
+        assert len(solves) - len(scene.starts) < replans
+        # a hit counts its expansions as if it had run
+        assert r.ll_expansions > sum(res.expansions for res in solves)
+
+
 def _fake_node(index, cost, lb, n_conflicts):
     conflict = Conflict(VERTEX, (0, 1), 0, (((0, 0), (0, 0)), ((0, 0), (0, 0))))
     return CTNode(index, frozenset(), (Path(((0, 0),)),), cost,
