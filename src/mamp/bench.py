@@ -93,6 +93,8 @@ class ExperimentSpec:
                 raise ValueError(f"planner {name}: timeout must be positive")
         if (self.scene_text is None) == (self.generate is None):
             raise ValueError("exactly one of scene_text / generate is required")
+        if self.out == "":
+            raise ValueError("out is empty")
         if self.out and os.path.isdir(self.out):
             raise ValueError(f"out {self.out!r} is a directory")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
@@ -307,7 +309,8 @@ _OBSTACLE_VALUES = {"auto": "auto", "true": True, "yes": True, "1": True,
 
 def parse_generate_spec(spec: str) -> tuple[str, dict]:
     """Parse 'kind:key=value,key=value' CLI shorthand; every key must be a
-    keyword of `generate_scene`, given at most once."""
+    keyword of `generate_scene` other than ``seed``, which each trial sets,
+    given at most once."""
     kind, _, rest = spec.partition(":")
     params: dict = {}
     if rest:
@@ -317,6 +320,9 @@ def parse_generate_spec(spec: str) -> tuple[str, dict]:
                 raise ValueError(f"bad generator parameter {item!r}")
             key = key.strip()
             value = value.strip()
+            if key == "seed":
+                raise ValueError("generator parameter 'seed' is set per trial "
+                                 "from --seed; give --seed instead")
             if key not in _GENERATOR_KEYS:
                 raise ValueError(f"unknown generator parameter {key!r}")
             if key in params:
@@ -440,8 +446,7 @@ def _scene_for_trial(spec: ExperimentSpec, trial: int) -> tuple[str, str]:
     if spec.scene_text is not None:
         return spec.scene_name, spec.scene_text
     kind, params = parse_generate_spec(spec.generate)
-    params.setdefault("seed", spec.seed * 100003 + trial)
-    text = generate_scene(kind, **params)
+    text = generate_scene(kind, seed=spec.seed * 100003 + trial, **params)
     return f"{kind}-n{params.get('n', 2)}-t{trial}", text
 
 

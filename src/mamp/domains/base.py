@@ -6,12 +6,12 @@ domain supplies `bounds`, the `_check_*` geometry, `heuristic` and
 
 Each per-step question has one answer here. `step_valid` is the static
 legality of one timestep (a wait, or a move to a valid configuration along
-a valid edge); a table's `step_conflicts` counts the fixed other agents
-that a step hits. The low level and the shortcutter ask both; the solution
-certificate (`certify`) asks `step_valid`.
+a valid edge); a table's `step_conflicts` counts the held agents, other
+than the asking one, that a step hits. The low level and the shortcutter
+ask both; the solution certificate (`certify`) asks `step_valid`.
 
-The fixed other agents are one `ConflictTable` per query, kept current one
-path at a time: a change costs that path's length, not every other path's.
+The fixed paths are one `ConflictTable` per query, kept current one path at
+a time and never copied: a replan reads it with its own old path in it.
 
 A domain is immutable after construction except for its counters and its
 internal memo tables, which only ever record verdicts that a fresh
@@ -25,7 +25,6 @@ insertion; re-inserting an existing key with the same verdict is a no-op.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -37,9 +36,8 @@ class ConflictTable:
     """Some agents' fixed paths, held as ``(agent id, Path)`` pairs in
     insertion order; iterating a table yields the pairs. `set` changes one
     agent's path in place, an agent already held keeping its place in the
-    order; `derive` makes a changed copy, so that a table handed to a
-    replan never changes after. A table holds no domain. An empty path, or
-    dropping an agent not held, is a ``ValueError`` that changes nothing.
+    order. A table holds no domain. An empty path is a ``ValueError`` that
+    changes nothing.
 
     This kind keeps only the pairs and counts conflicts by pair tests; a
     kind that counts from an index subclasses it (`grid.AvoidanceTable`).
@@ -70,42 +68,27 @@ class ConflictTable:
         agent is parked from this time on."""
         return max((p.duration for p in self._paths.values()), default=0)
 
-    def set(self, agent: int, path: Path | None) -> None:
-        """In place: ``agent`` holds ``path`` from now on, or nothing when
-        ``path`` is None."""
-        if path is not None and not path.waypoints:
+    def set(self, agent: int, path: Path) -> None:
+        """In place: ``agent`` holds ``path`` from now on."""
+        if not path.waypoints:
             raise ValueError(f"agent {agent} has an empty path")
-        if path is not None:
-            self._paths[agent] = path
-        elif self._paths.pop(agent, None) is None:
-            raise ValueError(f"agent {agent} has no path to drop")
-
-    def derive(self, agent: int, path: Path | None = None) -> "ConflictTable":
-        """A copy in which ``agent`` holds ``path``, or nothing when
-        ``path`` is None; this table is left as it is."""
-        new = self._copy()
-        new.set(agent, path)
-        return new
-
-    def _copy(self) -> "ConflictTable":
-        new = copy.copy(self)
-        new._paths = dict(self._paths)
-        return new
+        self._paths[agent] = path
 
     def step_conflicts(self, domain: "LatticeDomain", agent: int):
-        """Conflict counter of ``agent`` against the held paths, asked once
-        per replan of a table that is not changed afterwards.
+        """Conflict counter of ``agent`` against every other held agent,
+        valid until the table next changes.
 
-        The returned ``count(q, t, q2, first=False)`` is the number of held
+        The returned ``count(q, t, q2, first=False)`` is the number of those
         agents that the move q -> q2 departing at t collides with under
         ``core.step_collides``, or with ``first`` 1 as soon as one does.
-        Held agents stay parked at their last waypoint, so the step list at
-        ``last`` serves every later time. This kind runs the pair tests in
+        They stay parked at their last waypoint, so the step list at their
+        last step serves every later time. This kind runs the pair tests in
         the table's order; a kind with an index answers from it instead,
         with the same counts.
         """
-        last = self.last
-        steps = [[(jid, pj.at(t), pj.at(t + 1)) for jid, pj in self]
+        others = [(j, p) for j, p in self if j != agent]
+        last = max((p.duration for _, p in others), default=0)
+        steps = [[(jid, pj.at(t), pj.at(t + 1)) for jid, pj in others]
                  for t in range(last + 1)]
 
         def count(q: Config, t: int, q2: Config, first: bool = False) -> int:

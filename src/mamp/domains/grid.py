@@ -16,7 +16,8 @@ class AvoidanceTable(ConflictTable):
     and a path swapped for another keeps the rows of their shared prefix:
     the span grows, extending the held paths' parked rows, only when a
     longer path comes in, and never shrinks. The table counts conflicts
-    from these rows alone (`step_conflicts`): no pair test runs."""
+    from these rows alone (`step_conflicts`), less the counted agent's own
+    arrival and swap: no pair test runs."""
 
     def __init__(self, pairs=()):
         self.arrivals: dict = {}
@@ -24,15 +25,13 @@ class AvoidanceTable(ConflictTable):
         self.span = 0
         super().__init__(pairs)
 
-    def set(self, agent: int, path: Path | None) -> None:
+    def set(self, agent: int, path: Path) -> None:
         old = self.path(agent)
         super().set(agent, path)  # rejects a bad call before any row moves
         # rows before the step into the first changed waypoint stay
-        lo = 0 if old is None or path is None else max(first_change(old, path) - 1, 0)
+        lo = 0 if old is None else max(first_change(old, path) - 1, 0)
         if old is not None:
             self._rows(old, lo, self.span, -1)
-        if path is None:
-            return
         if path.duration > self.span:
             for j, pj in self:
                 if j != agent:
@@ -59,22 +58,24 @@ class AvoidanceTable(ConflictTable):
                 else:
                     del moves[a, b, t]
 
-    def _copy(self) -> "AvoidanceTable":
-        new = super()._copy()
-        new.arrivals = dict(self.arrivals)
-        new.moves = dict(self.moves)
-        return new
-
     def step_conflicts(self, domain: LatticeDomain, agent: int):
         """The conflict counter read off the rows: the arrivals at the
-        target cell plus the moves that swap with this one."""
+        target cell plus the moves that swap with this one, less the
+        agent's own arrival and move in the row read, if it is held."""
         arrivals, moves, span = self.arrivals, self.moves, self.span
+        own = self.path(agent)
+        wps = own.waypoints if own is not None else (None,)  # None is no cell
+        end = len(wps) - 1
 
+        # the agent's own path is read only where a row counts someone
         def count(q: Config, t: int, q2: Config, first: bool = False) -> int:
             t = min(t, span)
             n = arrivals.get((q2, t), 0)
-            if q != q2:
-                n += moves.get((q2, q, t), 0)
+            if n and wps[min(t + 1, end)] == q2:
+                n -= 1
+            if q != q2 and (q2, q, t) in moves:
+                mine = wps[min(t, end)] == q2 and wps[min(t + 1, end)] == q
+                n += moves[q2, q, t] - mine
             return min(n, 1) if first else n
         return count
 

@@ -198,8 +198,8 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
                    memo: dict | None = None) -> tuple[list[CTNode], int, bool]:
     """Branch on the first conflict: one child per derived constraint, with
     only the affected agent replanned, warm-started (with experience on)
-    from the path it replaces. A focal replan counts conflicts against
-    ``table`` (empty if not given) less its agent, after each `Path` of
+    from the path it replaces. A focal replan counts conflicts against the
+    other agents in ``table`` (empty if not given), after each `Path` of
     ``node`` that the table does not hold as the same object is swapped in.
 
     A replan is looked up in ``memo`` (empty if not given) before it is
@@ -234,7 +234,7 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
             res = lowlevel.solve(
                 domain, agent, starts[agent], goals[agent], cidx,
                 experience.waypoints if experience is not None else (), child_llp,
-                other_paths=table.derive(agent) if config.focal else None,
+                other_paths=table if config.focal else None,
                 deadline=deadline)
             if res.status != "timeout":
                 memo[key] = res
@@ -346,7 +346,7 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
         query.ll_expansions += res.expansions
         if not res.success:
             return query.end("timeout" if res.status == "timeout" else "infeasible")
-        fixed = fixed.derive(agent, res.path)
+        fixed.set(agent, res.path)
     solution = Solution(tuple(fixed.path(i) for i in range(query.n)))
     return query.end("success", solution=solution,
                      cost=solution.sum_of_costs, constraints=frozenset())
@@ -445,9 +445,10 @@ def certify(domain: LatticeDomain, starts, goals, solution: Solution,
             bound: float | None = None) -> tuple[bool, str]:
     """Full certificate of a lattice solution: one path per agent, from its
     start to its goal by waits and statically valid lattice moves; no
-    conflicts; every constraint held; the recomputed sum of costs equal to
-    ``cost`` and within ``bound`` (when given). Returns (True, "ok") or
-    (False, reason). Not for shortcut output (multi-joint arm steps)."""
+    conflicts; every constraint held, on an agent at a time >= 0; the
+    recomputed sum of costs equal to ``cost`` and within ``bound`` (when
+    given). Returns (True, "ok") or (False, reason). Not for shortcut
+    output (multi-joint arm steps)."""
     paths = solution.paths
     if len(paths) != len(starts) or len(paths) != len(goals):
         return False, "agent count mismatch"
@@ -465,6 +466,8 @@ def certify(domain: LatticeDomain, starts, goals, solution: Solution,
     if detect_conflicts(paths, domain):
         return False, "solution has conflicts"
     for c in constraints:
+        if not 0 <= c.agent < len(paths) or c.time < 0:
+            return False, f"constraint out of range: {c}"
         if violates(paths[c.agent], c):
             return False, f"constraint violated: {c}"
     total = solution.sum_of_costs

@@ -299,12 +299,13 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
     ``experience`` is one time-stripped configuration sequence (in the
     constraint tree, the path being replaced). ``other_paths`` are the
     remaining agents' committed paths, as ``(agent id, Path)`` pairs or a
-    `ConflictTable` that is not changed afterwards; they feed the
-    conflict-count focal priority, stop the experience walk at a step that
-    hits one of them, and with ``hard_paths`` (prioritized planning) filter
-    successors and goal acceptance. Naming ``agent`` among them, or one
-    agent twice, is a ``ValueError``. Failure to reach the goal within the
-    horizon is reported in the result status, not raised.
+    `ConflictTable`; they feed the conflict-count focal priority, stop the
+    experience walk at a step that hits one of them, and with
+    ``hard_paths`` (prioritized planning) filter successors and goal
+    acceptance. A table may also hold ``agent``, whose path is never
+    counted; pairs naming ``agent``, or one agent twice, are a ``ValueError``.
+    Failure to reach the goal within the horizon is reported in the result
+    status, not raised.
     """
     start, goal = tuple(start), tuple(goal)
     if not domain.is_state_valid(agent, start) or not domain.is_state_valid(agent, goal):
@@ -320,15 +321,17 @@ def solve(domain: LatticeDomain, agent: int, start: Config, goal: Config,
 
     others = other_paths if isinstance(other_paths, ConflictTable) \
         else domain.Table(other_paths or ())
-    if agent in others:
+    if others is not other_paths and agent in others:  # a table may hold it
         raise ValueError(f"other_paths names agent {agent} itself")
-    last = others.last  # every other agent is parked from here on
+    # every other agent is parked from here on (the agent's own old path
+    # may be longer, and would stretch the parked sums)
+    last = max((p.duration for j, p in others if j != agent), default=0)
     checks_before = domain.stats.geometry_checks
     # other agents that the move q -> q2 departing at t collides with
     hits = others.step_conflicts(domain, agent)
 
     cc_fn = None
-    if params.f2 == "conflicts" and others:
+    if params.f2 == "conflicts" and len(others) > (agent in others):
         # Conflicts accrued while parked at the goal are charged to goal
         # states up front, otherwise the tree resolves them one timestep at
         # a time. parked[k] = conflicts over [last + 1 - k, end) against

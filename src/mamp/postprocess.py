@@ -7,7 +7,7 @@ conflict timing is untouched) is statically valid and collision-free
 against all other agents' current, possibly already-shortcut, paths. The
 interpolation is walked one step at a time and abandoned at its first
 failing step; the current paths are one conflict table, into which each
-agent's shortened path is swapped.
+agent's shortened path is swapped; its counter skips the agent's own.
 
 The straight interpolation is rounded back onto the lattice and is monotone
 per coordinate, so its motion cost is the minimum achievable between the
@@ -75,7 +75,7 @@ def shortcut_solution(solution: Solution,
     table = domain.Table(enumerate(paths))  # the current paths, id order
     for agent in range(len(paths)):
         waypoints = list(paths[agent].waypoints)
-        hits = table.derive(agent).step_conflicts(domain, agent)
+        hits = table.step_conflicts(domain, agent)
         a = 0
         while a < len(waypoints) - 2:
             for b in range(len(waypoints) - 1, a + 1, -1):

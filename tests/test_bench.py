@@ -95,6 +95,10 @@ class TestDefaultParams:
         assert parse_generate_spec("corridor-grid") == ("corridor-grid", {})
         with pytest.raises(ValueError, match="bad generator parameter"):
             parse_generate_spec("circle-arms:n")
+        # each trial's seed comes from --seed; a fixed one would plan one
+        # scene in every trial
+        with pytest.raises(ValueError, match="'seed'.*--seed"):
+            parse_generate_spec("corridor-grid:n=2,seed=7")
 
     def test_repeated_generator_key_rejected(self):
         with pytest.raises(ValueError, match="generator parameter 'n' given twice"):
@@ -341,6 +345,7 @@ class TestCli:
         ("circle-arms:n=abc", "n"),
         ("circle-arms:walk=1.5", "walk"),
         ("corridor-grid:seed=x", "seed"),
+        ("corridor-grid:n=2,width=5,height=5,seed=7", "seed"),
         ("corridor-grid:width=0", "width"),
         ("corridor-grid:n=2,height=-3", "height"),
         ("circle-arms:walk=-5", "walk"),
@@ -353,7 +358,7 @@ class TestCli:
             "resolution-inf", "thickness-nan", "thickness-negative",
             "link_length-negative", "obstacle_p-nan", "radius-nan", "radius-inf",
             "obstacle-maybe", "retries", "n-not-int", "walk-not-int",
-            "seed-not-int", "width-0", "height-negative", "walk-negative",
+            "seed-not-int", "seed", "width-0", "height-negative", "walk-negative",
             "walk-0", "resolution-overflows", "link_length-too-long", "radius-too-far",
             "repeated-key"])
     def test_bad_generator_params_exit_1(self, tmp_path, capsys, generate, key):
@@ -384,7 +389,7 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("layout", ["out-is-directory", "out-dir-missing",
-                                        "dump-dir-is-file"])
+                                        "out-empty", "dump-dir-is-file"])
     def test_unwritable_output_exits_1_before_planning(self, tmp_path, capsys, layout):
         scene = tmp_path / "mini.scene"
         scene.write_text(GRID_DOC)
@@ -393,6 +398,8 @@ class TestCli:
             out.mkdir()
         elif layout == "out-dir-missing":
             out = tmp_path / "missing" / "out.csv"
+        elif layout == "out-empty":  # would print "wrote " and write nothing
+            out = ""
         else:
             (tmp_path / "dumps").write_text("not a directory\n")
             extra = ["--dump-paths", str(tmp_path / "dumps")]

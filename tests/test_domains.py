@@ -114,36 +114,23 @@ class TestStepConflicts:
 
 
 class TestConflictTable:
-    """A table reached by any sequence of in-place sets and drops and of
-    derivations holds the model's pairs in the model's order, reports the
-    largest held duration as ``last``, and counts every move at every time
-    before and past its span exactly as one pair test per held path; a
-    derivation leaves its source as it was."""
+    """A table reached by any sequence of in-place sets holds the model's
+    pairs in the model's order, reports the largest held duration as
+    ``last``, and counts every move at every time before and past its span
+    exactly as one pair test per held path."""
 
     @staticmethod
     def _ops(paths, agents):
-        # (agent, its new path or None to drop it, derive or set in place)
-        return st.lists(st.tuples(st.sampled_from(agents),
-                                  st.one_of(st.none(), paths), st.booleans()),
-                        max_size=8)
+        # (agent, its new path), set in place
+        return st.lists(st.tuples(st.sampled_from(agents), paths), max_size=8)
 
-    def _reach(self, domain, ops):
-        table, model, sources = domain.Table(), {}, []
-        for agent, path, derive in ops:
-            if path is None and agent not in model:
-                continue
-            if derive:
-                sources.append((table, list(model.items())))
-                table = table.derive(agent, path)
-            else:
-                table.set(agent, path)
-            if path is None:
-                del model[agent]
-            else:
-                model[agent] = path
-        return table, list(model.items()), sources
-
-    def _check_counts(self, domain, ref, configs, table, pairs):
+    def _check(self, build, configs, ops):
+        domain, ref = build(), build()
+        table, model = domain.Table(), {}
+        for agent, path in ops:
+            table.set(agent, path)
+            model[agent] = path
+        pairs = list(model.items())
         assert list(table) == pairs
         assert table.last == max((p.duration for _, p in pairs), default=0)
         count = table.step_conflicts(domain, 0)
@@ -154,13 +141,6 @@ class TestConflictTable:
                     for first in (False, True):
                         want = step_conflicts(ref, 0, pairs, q, t, q2, first)
                         assert count(q, t, q2, first) == want, (q, t, q2, first)
-
-    def _check(self, build, configs, ops):
-        domain, ref = build(), build()
-        table, pairs, sources = self._reach(domain, ops)
-        self._check_counts(domain, ref, configs, table, pairs)
-        for source, source_pairs in sources:
-            self._check_counts(domain, ref, configs, source, source_pairs)
         return table, pairs
 
     @settings(max_examples=200, deadline=None)
@@ -186,9 +166,65 @@ class TestConflictTable:
                     data.draw(self._ops(_walks(9, 1, -4), [1])))
 
 
+class TestCounterSkipsItsAgent:
+    """A table that holds agent 0 counts agent 0's moves as a fresh table of
+    the other pairs does, at every move and every time up to 2 past its
+    span, and `solve` for agent 0 given it plans as given the other pairs,
+    to the trace: agent 0's own path is never counted, nor read for the
+    time from which the others are parked, also when it is strictly the
+    longest held."""
+
+    def _check(self, data, build, kinds, configs, walks, others):
+        ops = data.draw(TestConflictTable._ops(walks, [0] + others))
+        own = data.draw(walks)
+        last = max((p.duration for j, p in ops if j != 0), default=0)
+        if data.draw(st.booleans()):  # agent 0's path strictly the longest
+            own = Path(own.waypoints + own.waypoints[-1:]
+                       * (last + data.draw(st.integers(1, 6)) - own.duration))
+        ops.append((0, own))
+        start, goal = (data.draw(st.sampled_from(configs)) for _ in range(2))
+        ref = build()
+        for kind in kinds:
+            held = kind()
+            for agent, path in ops:
+                held.set(agent, path)
+            pairs = [(j, p) for j, p in held if j != 0]
+            count = held.step_conflicts(build(), 0)
+            want = kind(pairs).step_conflicts(ref, 0)
+            span = max(getattr(held, "span", 0), held.last)
+            for q in configs:
+                for q2 in ref.successor_configs(0, q):
+                    for t in range(span + 3):
+                        for first in (False, True):
+                            assert count(q, t, q2, first) == want(q, t, q2, first), \
+                                (kind, q, t, q2, first)
+            for params, hard in ((LLParams(w2=2.0, f2="conflicts", horizon=12), False),
+                                 (LLParams(horizon=12), True)):
+                got, exp = (solve(build(), 0, start, goal, params=params,
+                                  other_paths=others, hard_paths=hard,
+                                  record_trace=True)
+                            for others in (held, pairs))
+                assert (got.path, got.cost, got.lower_bound, got.expansions,
+                        got.trace, got.status) == \
+                    (exp.path, exp.cost, exp.lower_bound, exp.expansions,
+                     exp.trace, exp.status), (kind, params, hard)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_grid(self, data):
+        self._check(data, lambda: GridDomain(3, 3), (ConflictTable, AvoidanceTable),
+                    list(itertools.product(range(3), range(3))), _walks(), [1, 2, 3])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_arm(self, data):
+        self._check(data, facing_arms, (ConflictTable,),
+                    [(k,) for k in range(-4, 5)], _walks(9, 1, -4), [1])
+
+
 class TestConflictTableRejects:
-    """An empty path, or dropping an agent that the table does not hold, is
-    a ValueError naming the agent, and the table is left as it was."""
+    """An empty path is a ValueError naming the agent, and the table is
+    left as it was."""
 
     HELD = [(1, Path(((0, 0), (1, 0), (1, 1)))), (2, Path(((2, 2),)))]
 
@@ -201,10 +237,7 @@ class TestConflictTableRejects:
     @pytest.mark.parametrize("call, message", [
         (lambda t: t.set(1, Path(())), "agent 1 has an empty path"),
         (lambda t: t.set(3, Path(())), "agent 3 has an empty path"),
-        (lambda t: t.derive(2, Path(())), "agent 2 has an empty path"),
-        (lambda t: t.set(3, None), "agent 3 has no path to drop"),
-        (lambda t: t.derive(3), "agent 3 has no path to drop"),
-    ], ids=["set-held-empty", "set-new-empty", "derive-empty", "drop", "derive-drop"])
+    ], ids=["set-held-empty", "set-new-empty"])
     def test_rejected_call_leaves_the_table(self, kind, call, message):
         table = kind(self.HELD)
         before = self._state(table)

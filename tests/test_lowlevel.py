@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from mamp import (ArmDomain, ArmSpec, Constraint, GridDomain, Path,
                   generate_scene, parse_scene)
 from mamp.core import ConstraintIndex
+from mamp.domains.base import ConflictTable
+from mamp.domains.grid import AvoidanceTable
 from mamp.lowlevel import (FocalQueue, LLParams, SearchNode,
                            push_partial_experience, solve, suffix,
                            try_insert_or_update)
@@ -112,14 +114,31 @@ class TestSolveExamples:
         r = solve(g, 0, (1, 1), (1, 1))
         assert r.success and r.cost == 0 and len(r.path) == 1
 
-    @pytest.mark.parametrize("table", [False, True], ids=["pairs", "table"])
-    def test_other_paths_naming_the_agent_rejected(self, table):
+    def test_other_paths_naming_the_agent_rejected(self):
         # the agent would count conflicts against its own old path
         g = GridDomain(3, 3)
         others = [(1, Path(((2, 2),))), (0, Path(((0, 0), (1, 0))))]
         with pytest.raises(ValueError, match="agent 0 itself"):
             solve(g, 0, (0, 0), (2, 0), params=LLParams(f2="conflicts"),
-                  other_paths=g.Table(others) if table else others)
+                  other_paths=others)
+
+    @pytest.mark.parametrize("kind", [ConflictTable, AvoidanceTable])
+    def test_held_agent_is_not_counted(self, kind):
+        # a table may hold the planned agent, as the constraint tree's does:
+        # its old path, the longest held, is neither counted nor read for
+        # the time from which agent 1, parked on the goal, stays there
+        others = [(1, Path(((2, 1), (2, 0))))]
+        held = kind([(0, Path(((0, 0), (1, 0), (1, 1), (1, 0), (1, 1), (1, 0))))]
+                    + others)
+        for params, hard in ((LLParams(w2=2.0, f2="conflicts", horizon=12), False),
+                             (LLParams(horizon=12), True)):
+            got, want = (solve(GridDomain(3, 3), 0, (0, 0), (2, 0), params=params,
+                               other_paths=table, hard_paths=hard, record_trace=True)
+                         for table in (held, others))
+            assert (got.path, got.cost, got.lower_bound, got.expansions,
+                    got.trace, got.status) == \
+                (want.path, want.cost, want.lower_bound, want.expansions,
+                 want.trace, want.status)
 
     def test_other_paths_naming_an_agent_twice_rejected(self):
         # counted twice, or collapsed to one by a table keyed by agent
