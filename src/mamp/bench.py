@@ -88,7 +88,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        names = set()
         for name, cfg in self.planners:
+            if name in names:
+                raise ValueError(f"planner {name!r} given twice")
+            names.add(name)
             if not cfg.timeout > 0:
                 raise ValueError(f"planner {name}: timeout must be positive")
         if (self.scene_text is None) == (self.generate is None):

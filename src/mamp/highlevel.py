@@ -76,6 +76,8 @@ class PlannerConfig:
             raise ValueError("suboptimality factors must be >= 1 and finite")
         if not self.timeout >= 0:
             raise ValueError("timeout must be >= 0")
+        if self.horizon is not None and not self.horizon >= 0:
+            raise ValueError("horizon must be >= 0")
         fixed_unit = {
             "cbs": ("w1L", "w2L", "wH"),
             "xcbs": ("w2L", "wH"),
@@ -268,7 +270,9 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
     within w1L*w2L*wH of the optimal sum of costs, or a failure result on
     colliding starts or goals, timeout or exhaustion. A query keeps one
     conflict table and one memo of replans (see `expand_ct_node`), so it
-    never solves the same replan twice."""
+    never solves the same replan twice. A pp config is a ``ValueError``."""
+    if config.variant == "pp":
+        raise ValueError("plan does not run 'pp'; use plan_prioritized")
     query = _Query(domain, starts, goals, time.monotonic() + config.timeout)
     if query.clash():
         return query.end("infeasible")
@@ -325,9 +329,12 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
                      order: Sequence[int] | None = None) -> PlanResult:
     """Sequential baseline: agents plan in priority order and treat earlier
     agents' paths as hard moving obstacles. Colliding starts or goals, or
-    failure of any agent, fail the whole query (incomplete by design)."""
+    failure of any agent, fail the whole query (incomplete by design). A
+    config of any other variant is a ``ValueError``."""
     if config is None:
         config = PlannerConfig.make("pp")
+    elif config.variant != "pp":
+        raise ValueError(f"plan_prioritized runs 'pp', not {config.variant!r}")
     query = _Query(domain, starts, goals, time.monotonic() + config.timeout)
     order = tuple(order) if order is not None else tuple(range(query.n))
     if sorted(order) != list(range(query.n)):

@@ -11,11 +11,12 @@ is exactly plain focal / weighted A*.
 
 Conflict counts are lazy. A relaxed state takes its parent's count as a
 lower bound (a step adds a count >= 0) and is settled, by summing the
-counter along its parent chain, only when it enters FOCAL. Outside FOCAL
-a state is ordered by f1 alone, so every key FOCAL compares is exact and
-the pop order is the eager order. In the timed lattice g = t, so a state
-is generated once, with its final g and parent, and inserted once: it is
-never re-keyed or reopened.
+counter along its parent chain, only when it enters FOCAL, and it enters
+FOCAL only at a pop whose bound covers it. Outside FOCAL a state is
+ordered by f1 alone, so every key FOCAL compares is exact and the pop
+order is the eager order. In the timed lattice g = t, so a state is
+generated once, with its final g and parent, and inserted once: it is never
+re-keyed or reopened.
 
 Tie-breaking (fixed for reproducibility): OPEN prefers larger g, then the
 lexicographically smallest state; FOCAL in conflict mode prefers fewer
@@ -53,6 +54,8 @@ class LLParams:
             raise ValueError("suboptimality factors must be >= 1 and finite")
         if self.f2 not in ("f1", "conflicts"):
             raise ValueError(f"f2 must be 'f1' or 'conflicts', got {self.f2!r}")
+        if self.horizon is not None and not self.horizon >= 0:
+            raise ValueError("horizon must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ class FocalQueue:
 
     Three heaps: OPEN holds every open node, ordered by f1; FOCAL holds the
     admitted nodes, ordered by f2; pending holds the open nodes not in
-    FOCAL, ordered by their membership value. A pop reads ``base``, the min
+    FOCAL, ordered by their membership value. An insert puts a node on OPEN
+    and pending; only a pop admits to FOCAL. A pop reads ``base``, the min
     f1, off OPEN, admits every pending node whose value is within
     ``w2 * base`` and demotes FOCAL nodes that a shrunken bound no longer
     covers, so focal membership holds exactly at every extraction. If
@@ -106,7 +110,9 @@ class FocalQueue:
     With a ``cc_fn``, a node's conflict count ``cc`` may be a lower bound
     (``settled`` false) while the node waits in pending, whose order reads
     only the value. Admission to FOCAL settles the node and re-reads its
-    FOCAL key, so FOCAL orders exact keys only.
+    FOCAL key, so FOCAL orders exact keys only, and a node is counted only
+    once a pop's bound covers it or a descendant's admission settles the
+    parent chain.
 
     When ``_keys`` gives the OPEN key itself as the FOCAL key (the value
     being the key's first entry), FOCAL's least key is OPEN's least key at
@@ -128,7 +134,6 @@ class FocalQueue:
         self._open: list = []
         self._pending: list = []
         self._focal: list = []
-        self._bound = -INF
         self._plain = False  # FOCAL is OPEN: pop reads OPEN alone
 
     def _keys(self, n):
@@ -151,17 +156,10 @@ class FocalQueue:
         heappush(self._open, f1_key + (n,))
         if f2_key is f1_key:  # FOCAL is OPEN
             self._plain = True
-            return
-        if value <= self._bound:
-            if self.cc_fn is not None and not n.settled:
-                self._settle(n)
-                f2_key = self._keys(n)[2]
-            heappush(self._focal, f2_key + (n, value))
         else:
             heappush(self._pending, (value, f2_key, n))
 
     def _pop_focal(self, bound: float):
-        self._bound = bound
         pending, focal = self._pending, self._focal
         while pending:
             value, f2_key, node = pending[0]

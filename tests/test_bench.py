@@ -277,6 +277,9 @@ class TestRunExperiments:
                            scene_text=GRID_DOC)
         with pytest.raises(ValueError, match="scene_text / generate"):
             ExperimentSpec(planners=_planners("cbs"))
+        with pytest.raises(ValueError, match="planner 'cbs' given twice"):
+            ExperimentSpec(planners=_planners("cbs", "ecbs", "cbs"),
+                           scene_text=GRID_DOC)
 
 
 class TestCli:
@@ -327,6 +330,17 @@ class TestCli:
                      "--termination", "simple", "--out", str(out)]) == 1
         assert not out.exists()
         capsys.readouterr()
+
+    def test_repeated_planner_exits_1(self, tmp_path, capsys):
+        # two rows with one (scene, planner, trial), and the second dump
+        # would overwrite the first
+        out = tmp_path / "out.csv"
+        assert main(["--generate", "corridor-grid:n=2,width=5,height=5",
+                     "--planners", "cbs,CBS", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "mamp-bench: error: planner 'cbs' given twice\n"
+        assert "summary" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("generate,key", [
         ("corridor-grid:foo=3", "foo"),

@@ -14,7 +14,8 @@ from mamp import (Conflict, Constraint, GridDomain, Path, PlannerConfig,
                   solve, violates)
 from mamp.core import VERTEX, first_change
 from mamp.domains.base import LatticeDomain
-from mamp.highlevel import CTNode, CTQueue, OracleGuardError, expand_ct_node
+from mamp.highlevel import (VARIANTS, CTNode, CTQueue, OracleGuardError,
+                            expand_ct_node)
 from mamp.lowlevel import LLParams
 import mamp.highlevel as hl
 
@@ -685,6 +686,19 @@ class TestPrioritized:
                              [(0, 0), (2, 0)])
         assert r.status == "infeasible"
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_entry_runs_only_its_own_variants(self, variant):
+        # pp under `plan` would grow a constraint tree with pp's weights, a
+        # planner the library does not define; `plan_prioritized` would run
+        # pp whatever the config named
+        starts, goals = [(0, 0), (2, 0)], [(2, 0), (0, 0)]
+        config = PlannerConfig.make(variant)
+        wrong, right = (plan, plan_prioritized) if variant == "pp" \
+            else (plan_prioritized, plan)
+        with pytest.raises(ValueError, match="'pp'"):
+            wrong(GridDomain(3, 2), starts, goals, config)
+        assert right(GridDomain(3, 2), starts, goals, config).success
+
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             plan_prioritized(GridDomain(3, 3), [(0, 0), (1, 1)],
@@ -866,6 +880,10 @@ class TestPlannerConfig:
             PlannerConfig.make("cbs", timeout=math.nan)
         with pytest.raises(ValueError, match="unknown planner"):
             PlannerConfig("a-star")
+        # rejected when built, not by the low level's constraint-range check
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            PlannerConfig("cbs", horizon=-1)
+        assert PlannerConfig("cbs", horizon=0).horizon == 0
 
     @pytest.mark.parametrize("name", ["w1L", "w2L", "wH"])
     def test_infinite_weights_rejected(self, name):

@@ -109,6 +109,12 @@ class TestSolveExamples:
         with pytest.raises(ValueError, match="'conflict'"):
             LLParams(f2="conflict")
 
+    def test_negative_horizon_rejected(self):
+        # rejected when built, not by solve's constraint-range check
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            LLParams(horizon=-1)
+        assert LLParams(horizon=0).horizon == 0
+
     def test_start_equals_goal(self):
         g = GridDomain(3, 3)
         r = solve(g, 0, (1, 1), (1, 1))
@@ -610,6 +616,89 @@ class TestLazyConflictCounts:
             assert r.trace == ref_trace, seed
             compared += 1
         assert compared >= 4
+
+
+class TestAdmissionAtPop:
+    """A node enters FOCAL, and has its conflict count settled, only at a
+    pop whose bound covers it, or as an ancestor of such a node."""
+
+    H = 8
+
+    def test_child_outside_the_next_bound_is_never_counted(self):
+        # A (f1 10) pops at bound 1.5 * 10 = 15. Its children B (f1 14) and
+        # C (f1 4) follow, and the next bound is 1.5 * 4 = 6: C pops, and B,
+        # which the previous bound covered, waits uncounted.
+        h = {(0,): 10, (1,): 13, (2,): 3}
+        calls = []
+
+        def cc_fn(s1, s2):
+            calls.append((s1, s2))
+            return 0
+        q = FocalQueue(1.0, 1.5, "conflicts", h_fn=lambda s: h[s[0]], cc_fn=cc_fn)
+        a = q.push_root(((0,), 0))
+        assert q.pop() is a and q.base == 10
+        for config in ((1,), (2,)):
+            try_insert_or_update(q, a, (config, 1))
+        b, c = q.nodes[((1,), 1)], q.nodes[((2,), 1)]
+        assert (b.f1, c.f1) == (14, 4)
+        assert q.pop() is c and q.base == 4
+        assert calls == [(a.state, c.state)]
+        assert b.in_open and not b.settled
+
+    def _check(self, data, domain, configs, others_ids):
+        def walk(j, q):
+            wps = [q]
+            for _ in range(data.draw(st.integers(0, 6))):
+                wps.append(data.draw(st.sampled_from(domain.successor_configs(j, wps[-1]))))
+            return wps
+        start = data.draw(st.sampled_from(configs))
+        goal = data.draw(st.sampled_from(configs))
+        others = [(j, Path(tuple(walk(j, data.draw(st.sampled_from(configs))))))
+                  for j in sorted(data.draw(st.sets(st.sampled_from(others_ids),
+                                                    min_size=1)))]
+        experience = walk(0, start) if data.draw(st.booleans()) else ()
+        params = LLParams(w1=data.draw(st.sampled_from([1.0, 2.0, 50.0])),
+                          w2=data.draw(st.sampled_from([1.0, 1.3, 2.0])),
+                          f2="conflicts", horizon=self.H)
+        queues, covered = [], set()
+        pop = FocalQueue.pop
+
+        def spy(queue):
+            queues.append(queue)
+            live = [n for n in queue.nodes.values() if n.in_open]
+            node = pop(queue)
+            if node is not None:  # the bound is w2 * base: f1 is the value
+                covered.update(n.state for n in live
+                               if n.f1 <= queue.w2 * queue.base)
+            return node
+        with mock.patch.object(FocalQueue, "pop", spy):
+            solve(domain, 0, start, goal, (), experience, params, other_paths=others)
+        nodes = queues[0].nodes
+        assert queues[0].cc_fn is not None
+        reach = set()
+        for state in covered:
+            n = nodes[state]
+            while n is not None and n.state not in reach:
+                reach.add(n.state)
+                n = n.parent
+        assert all(n.state in reach for n in nodes.values() if n.settled)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.integers(2, 3),
+           st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=2))
+    def test_grid(self, data, width, height, blocked):
+        domain = GridDomain(width, height, blocked)
+        free = [(x, y) for x in range(width) for y in range(height)
+                if domain.is_state_valid(0, (x, y))]
+        assume(free)
+        self._check(data, domain, free, [1, 2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_arm(self, data):
+        domain = facing_arms()
+        configs = [(k,) for k in range(-4, 5) if domain.is_state_valid(0, (k,))]
+        self._check(data, domain, configs, [1])
 
 
 class TestConflictTableParity:
