@@ -103,6 +103,8 @@ class ExperimentSpec:
             raise ValueError(f"out {self.out!r} is a directory")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(f"out {self.out!r}: no directory {os.path.dirname(self.out)!r}")
+        if self.dump_dir == "":
+            raise ValueError("dump_dir is empty")
         if self.dump_dir and os.path.exists(self.dump_dir) and not os.path.isdir(self.dump_dir):
             raise ValueError(f"dump_dir {self.dump_dir!r} is not a directory")
 

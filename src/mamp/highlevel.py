@@ -17,10 +17,10 @@ Both levels run the same focal search: CT nodes go through
 `plan_coupled_oracle` searches the composite space exhaustively; it is exact
 and only meant for desk-scale cross-checking.
 
-`plan`, `plan_prioritized` and `plan_coupled_oracle` share one query frame
-(`_Query`). A query whose starts or goals put two agents' bodies in contact
-ends `infeasible` before any search: agents park at their goals for good,
-so colliding goals are never reached.
+`plan`, `plan_prioritized` and `plan_coupled_oracle` share one per-query
+context (`_Query`). A query whose starts or goals put two agents' bodies in
+contact ends `infeasible` before any search: agents park at their goals for
+good, so colliding goals are never reached.
 
 A planning query runs single-threaded over its own queues; domains are
 read-only during a query apart from their counters and memo tables.
@@ -39,7 +39,7 @@ from .core import (EDGE, Conflict, Constraint, ConstraintIndex, Path, Solution,
                    conflict_to_constraints, conflicts_with_agent,
                    detect_conflicts, first_change, path_cost, step_collides,
                    violates)
-from .domains.base import ConflictTable, LatticeDomain
+from .domains.base import LatticeDomain
 from . import lowlevel
 from .lowlevel import LLParams
 
@@ -158,19 +158,26 @@ class CTQueue(lowlevel.FocalQueue):
 
 
 class _Query:
-    """Frame of one planning query, whichever planner runs it: the
-    normalised instance, the clock and deadline, the geometry-counter
-    snapshot and the low-level tally."""
+    """Context of one planning query, whichever planner runs it: the
+    normalised instance, config, `LLParams`, clock and deadline, geometry
+    snapshot, conflict table, replan memo, CT node indexer, and the CT and
+    LL tallies that `end` reports."""
 
     def __init__(self, domain: LatticeDomain, starts, goals,
-                 deadline: float | None):
+                 deadline: float | None, config: PlannerConfig | None = None):
         self.starts = [tuple(s) for s in starts]
         self.goals = [tuple(g) for g in goals]
         self.n = len(self.starts)
         if len(self.goals) != self.n or getattr(domain, "num_agents", self.n) != self.n:
             raise ValueError("mismatched agent counts")
-        self.domain, self.deadline = domain, deadline
-        self.ll_expansions = 0
+        self.domain, self.deadline, self.config = domain, deadline, config
+        self.llp = None if config is None else LLParams(
+            w1=config.w1L, w2=config.w2L, f2="conflicts" if config.focal else "f1",
+            horizon=config.horizon)
+        self.table = domain.Table()  # the node last expanded, or pp's agents so far
+        self.memo: dict = {}  # every finished replan of this query, by its input
+        self.indexer = itertools.count(1)
+        self.ct_expansions = self.ll_expansions = 0
         self.t0 = time.perf_counter()
         self.checks0 = domain.stats.geometry_checks
 
@@ -183,7 +190,8 @@ class _Query:
 
     def end(self, status: str, **kw) -> PlanResult:
         checks = self.domain.stats.geometry_checks - self.checks0
-        return PlanResult(status, ll_expansions=self.ll_expansions,
+        return PlanResult(status, ct_expansions=self.ct_expansions,
+                          ll_expansions=self.ll_expansions,
                           collision_checks=checks,
                           wall_time=time.perf_counter() - self.t0, **kw)
 
@@ -194,32 +202,29 @@ def _arrival(c: Conflict) -> int:
     return c.time + (c.kind == EDGE)
 
 
-def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
-                   config: PlannerConfig, llp: LLParams, deadline: float | None,
-                   indexer, table: ConflictTable | None = None,
-                   memo: dict | None = None) -> tuple[list[CTNode], int, bool]:
+def expand_ct_node(query: _Query, node: CTNode) -> tuple[list[CTNode], bool]:
     """Branch on the first conflict: one child per derived constraint, with
     only the affected agent replanned, warm-started (with experience on)
     from the path it replaces. A focal replan counts conflicts against the
-    other agents in ``table`` (empty if not given), after each `Path` of
-    ``node`` that the table does not hold as the same object is swapped in.
+    other agents in ``query.table``, after each `Path` of ``node`` that the
+    table does not hold as the same object is swapped in.
 
-    A replan is looked up in ``memo`` (empty if not given) before it is
-    solved, and every result but a timeout is stored there. Its key is the
-    replan's whole input: the agent, its own constraints, the experience
-    (with experience on), the low-level parameters and (focal) the other
-    agents' paths, by value. `lowlevel.solve` is a pure function of these
-    and the static domain, so a hit is what a fresh solve would return; its
-    expansions count as if it had run. A failed replan makes no child.
-    Returns (children, LL expansions, timed_out)."""
+    A replan is looked up in ``query.memo`` before it is solved, and every
+    result but a timeout is stored there. Its key is the replan's whole
+    input: the agent, its own constraints, the experience (with experience
+    on), the low-level parameters and (focal) the other agents' paths, by
+    value. `lowlevel.solve` is a pure function of these and the static
+    domain, so a hit is what a fresh solve would return; its expansions
+    count as if it had run. A failed replan makes no child. Adds one CT
+    expansion and each replan's expansions to the query's tallies.
+    Returns (children, timed_out)."""
+    domain, config, llp, table = query.domain, query.config, query.llp, query.table
+    query.ct_expansions += 1
     if config.focal:
-        table = domain.Table() if table is None else table
         for j, path in enumerate(node.paths):
             if table.path(j) is not path:
                 table.set(j, path)
-    memo = {} if memo is None else memo
     children: list[CTNode] = []
-    ll_total = 0
     for c in conflict_to_constraints(node.conflicts[0]):
         agent = c.agent
         new_constraints = node.constraints | {c}
@@ -231,18 +236,18 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
         experience = node.paths[agent] if config.use_experience else None
         others = node.paths[:agent] + node.paths[agent + 1:] if config.focal else None
         key = (agent, own, experience, child_llp, others)
-        res = memo.get(key)
+        res = query.memo.get(key)
         if res is None:
             res = lowlevel.solve(
-                domain, agent, starts[agent], goals[agent], cidx,
+                domain, agent, query.starts[agent], query.goals[agent], cidx,
                 experience.waypoints if experience is not None else (), child_llp,
                 other_paths=table if config.focal else None,
-                deadline=deadline)
+                deadline=query.deadline)
             if res.status != "timeout":
-                memo[key] = res
-        ll_total += res.expansions
+                query.memo[key] = res
+        query.ll_expansions += res.expansions
         if res.status == "timeout":
-            return children, ll_total, True
+            return children, True
         if not res.success:
             continue
         new_paths = node.paths[:agent] + (res.path,) + node.paths[agent + 1:]
@@ -258,31 +263,29 @@ def expand_ct_node(domain: LatticeDomain, node: CTNode, starts, goals,
                 if agent not in cf.agents or _arrival(cf) < since]
         kept.extend(conflicts_with_agent(new_paths, domain, agent, since))
         kept.sort(key=Conflict.sort_key)
-        child = CTNode(next(indexer), new_constraints, new_paths,
+        child = CTNode(next(query.indexer), new_constraints, new_paths,
                        node.cost - path_cost(node.paths[agent]) + res.cost,
                        tuple(kept), new_lbs)
         children.append(child)
-    return children, ll_total, False
+    return children, False
 
 
 def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanResult:
     """Constraint-tree search; returns a conflict-free solution whose cost is
     within w1L*w2L*wH of the optimal sum of costs, or a failure result on
-    colliding starts or goals, timeout or exhaustion. A query keeps one
-    conflict table and one memo of replans (see `expand_ct_node`), so it
-    never solves the same replan twice. A pp config is a ``ValueError``."""
+    colliding starts or goals, timeout or exhaustion. The query's context
+    (`_Query`) holds its one conflict table and one memo of replans (see
+    `expand_ct_node`), so it never solves the same replan twice. A pp
+    config is a ``ValueError``."""
     if config.variant == "pp":
         raise ValueError("plan does not run 'pp'; use plan_prioritized")
-    query = _Query(domain, starts, goals, time.monotonic() + config.timeout)
+    query = _Query(domain, starts, goals, time.monotonic() + config.timeout, config)
     if query.clash():
         return query.end("infeasible")
-    starts, goals, deadline = query.starts, query.goals, query.deadline
-    llp = LLParams(w1=config.w1L, w2=config.w2L,
-                   f2="conflicts" if config.focal else "f1", horizon=config.horizon)
     paths, lbs = [], []
     for i in range(query.n):
-        res = lowlevel.solve(domain, i, starts[i], goals[i], (), (), llp,
-                             deadline=deadline)
+        res = lowlevel.solve(domain, i, query.starts[i], query.goals[i], (), (),
+                             query.llp, deadline=query.deadline)
         query.ll_expansions += res.expansions
         if res.status == "timeout":
             return query.end("timeout")
@@ -296,30 +299,19 @@ def plan(domain: LatticeDomain, starts, goals, config: PlannerConfig) -> PlanRes
                   tuple(detect_conflicts(paths, domain)), tuple(lbs))
     queue = CTQueue(config.wH, config.focal)
     queue.insert(root)
-    indexer = itertools.count(1)
-    ct_expansions = 0
-    # the paths of the node last expanded, kept current one agent at a time
-    table = domain.Table()
-    memo: dict = {}  # every finished replan of this query, by its input
-
     while True:
         if query.expired():
-            return query.end("timeout", ct_expansions=ct_expansions)
+            return query.end("timeout")
         node = queue.pop()
         if node is None:
-            return query.end("exhausted", ct_expansions=ct_expansions)
+            return query.end("exhausted")
         if not node.conflicts:
             return query.end("success", solution=Solution(node.paths),
                              cost=node.cost, lb=queue.base,
-                             ct_expansions=ct_expansions,
                              constraints=node.constraints)
-        ct_expansions += 1
-        children, ll_exp, timed_out = expand_ct_node(
-            domain, node, starts, goals, config, llp, deadline, indexer, table,
-            memo)
-        query.ll_expansions += ll_exp
+        children, timed_out = expand_ct_node(query, node)
         if timed_out:
-            return query.end("timeout", ct_expansions=ct_expansions)
+            return query.end("timeout")
         for child in children:
             queue.insert(child)
 
@@ -335,21 +327,20 @@ def plan_prioritized(domain: LatticeDomain, starts, goals,
         config = PlannerConfig.make("pp")
     elif config.variant != "pp":
         raise ValueError(f"plan_prioritized runs 'pp', not {config.variant!r}")
-    query = _Query(domain, starts, goals, time.monotonic() + config.timeout)
+    query = _Query(domain, starts, goals, time.monotonic() + config.timeout, config)
     order = tuple(order) if order is not None else tuple(range(query.n))
     if sorted(order) != list(range(query.n)):
         raise ValueError("order must be a permutation of the agents")
     if query.clash():
         return query.end("infeasible")
-    starts, goals, deadline = query.starts, query.goals, query.deadline
-    fixed = domain.Table()  # the agents planned so far, in planning order
+    fixed = query.table  # the agents planned so far, in planning order
     for agent in order:
         base = config.horizon if config.horizon is not None \
             else min(domain.num_vertices(agent), lowlevel.TMAX)
-        llp = LLParams(w1=config.w1L, w2=1.0, f2="f1", horizon=base + fixed.last)
-        res = lowlevel.solve(domain, agent, starts[agent], goals[agent], (), (),
-                             llp, other_paths=fixed, hard_paths=True,
-                             deadline=deadline)
+        res = lowlevel.solve(domain, agent, query.starts[agent], query.goals[agent],
+                             (), (), replace(query.llp, horizon=base + fixed.last),
+                             other_paths=fixed, hard_paths=True,
+                             deadline=query.deadline)
         query.ll_expansions += res.expansions
         if not res.success:
             return query.end("timeout" if res.status == "timeout" else "infeasible")
@@ -364,12 +355,15 @@ def plan_coupled_oracle(domain: LatticeDomain, starts, goals,
                         deadline: float | None = None) -> PlanResult:
     """Exact minimum sum-of-costs solution by uniform-cost search over the
     composite timed lattice, ``horizon`` steps deep (None: 64). Guarded
-    against composite branching factors above ``BRANCHING_LIMIT``.
+    against composite branching factors above ``BRANCHING_LIMIT``; a
+    negative ``horizon`` is a ``ValueError``.
 
     The search state is (per-agent configs, per-agent parked-at-goal streak);
     waits at the goal are free until the agent leaves, at which point the
     streak is charged retroactively, which makes g the exact sum of costs.
     """
+    if horizon is not None and not horizon >= 0:
+        raise ValueError("horizon must be >= 0")
     query = _Query(domain, starts, goals, deadline)
     starts, goals, n = query.starts, query.goals, query.n
     for i in range(n):

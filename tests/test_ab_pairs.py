@@ -34,6 +34,25 @@ def test_reads_the_last_line():
     assert tool.parse_seeds("7,9") == [7, 9]
 
 
+def test_empty_seed_range_rejected():
+    with pytest.raises(ValueError, match="empty seed range"):
+        _load_tool().parse_seeds("410-401")
+
+
+@pytest.mark.parametrize("argv", [["--seeds", "410-401"],
+                                  ["--seeds", "410-401", "--pairs", "10"],
+                                  ["--seeds", "401-410", "--pairs", "0"],
+                                  ["--seeds", "401-410", "--pairs", "-2"]],
+                         ids=["empty-range", "empty-range-pairs", "pairs-0",
+                              "pairs-negative"])
+def test_bad_seeds_or_pairs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _load_tool().main(["--parent", ".", "--change", ".",
+                           "--workload", "grid-focal", *argv])
+    assert exit_info.value.code == 2  # before any benchmark run
+    assert "error: argument --" in capsys.readouterr().err
+
+
 def test_quartiles_and_verdicts():
     tool = _load_tool()
     assert tool.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)

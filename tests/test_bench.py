@@ -280,6 +280,9 @@ class TestRunExperiments:
         with pytest.raises(ValueError, match="planner 'cbs' given twice"):
             ExperimentSpec(planners=_planners("cbs", "ecbs", "cbs"),
                            scene_text=GRID_DOC)
+        with pytest.raises(ValueError, match="dump_dir is empty"):
+            ExperimentSpec(planners=_planners("cbs"), scene_text=GRID_DOC,
+                           dump_dir="")
 
 
 class TestCli:
@@ -403,7 +406,8 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("layout", ["out-is-directory", "out-dir-missing",
-                                        "out-empty", "dump-dir-is-file"])
+                                        "out-empty", "dump-dir-is-file",
+                                        "dump-dir-empty"])
     def test_unwritable_output_exits_1_before_planning(self, tmp_path, capsys, layout):
         scene = tmp_path / "mini.scene"
         scene.write_text(GRID_DOC)
@@ -414,6 +418,8 @@ class TestCli:
             out = tmp_path / "missing" / "out.csv"
         elif layout == "out-empty":  # would print "wrote " and write nothing
             out = ""
+        elif layout == "dump-dir-empty":  # would write no dump and exit 0
+            extra = ["--dump-paths", ""]
         else:
             (tmp_path / "dumps").write_text("not a directory\n")
             extra = ["--dump-paths", str(tmp_path / "dumps")]

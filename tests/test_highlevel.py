@@ -32,6 +32,14 @@ SWAP = dict(domain=lambda: GridDomain(3, 2),
             starts=[(0, 0), (2, 0)], goals=[(2, 0), (0, 0)])
 
 
+def _context(domain, starts, goals, config, deadline=None, first=1):
+    """A fresh context of one query, with its own table and memo, whose CT
+    node indexer starts at ``first``."""
+    query = hl._Query(domain, starts, goals, deadline, config)
+    query.indexer = itertools.count(first)
+    return query
+
+
 class TestPlanExamples:
     def test_single_agent_returns_root(self):
         r = plan(GridDomain(4, 4), [(0, 0)], [(3, 3)], cfg("cbs"))
@@ -132,9 +140,8 @@ class TestExpandCTNode:
         domain = SWAP["domain"]()
         root = self._root(domain, SWAP["starts"], SWAP["goals"])
         assert root.conflicts
-        children, _, timed = expand_ct_node(
-            domain, root, SWAP["starts"], SWAP["goals"], cfg("cbs"),
-            LLParams(), None, itertools.count(1))
+        children, timed = expand_ct_node(
+            _context(domain, SWAP["starts"], SWAP["goals"], cfg("cbs")), root)
         assert not timed and len(children) == 2
         agents = set()
         for child in children:
@@ -158,9 +165,8 @@ class TestExpandCTNode:
         conflict = Conflict(VERTEX, (0, 1), 0, (((0, 0), (0, 0)), ((1, 0), (1, 0))))
         node = CTNode(0, frozenset(), root.paths, root.cost, (conflict,),
                       (0.0, 0.0))
-        children, _, _ = expand_ct_node(
-            domain, node, starts, goals, cfg("cbs"), LLParams(), None,
-            itertools.count(1))
+        children, _ = expand_ct_node(
+            _context(domain, starts, goals, cfg("cbs")), node)
         assert len(children) == 1
         new = next(iter(children[0].constraints))
         assert new.agent == 1
@@ -176,14 +182,14 @@ class TestExpandCTNode:
                  for i in range(2)]
         root = CTNode(0, frozenset(), tuple(paths), 16,
                       tuple(detect_conflicts(paths, domain)), (0.0, 0.0))
-        warm, warm_exp, _ = expand_ct_node(
-            GridDomain(9, 9), root, starts, goals, pc, llp, None,
-            itertools.count(1))
-        cold, cold_exp, _ = expand_ct_node(
-            GridDomain(9, 9), root, starts, goals, cfg("ecbs", w1L=50.0),
-            llp, None, itertools.count(1))
+        warm_query = _context(GridDomain(9, 9), starts, goals, pc)
+        warm, _ = expand_ct_node(warm_query, root)
+        cold_query = _context(GridDomain(9, 9), starts, goals,
+                              cfg("ecbs", w1L=50.0))
+        cold_query.llp = llp
+        cold, _ = expand_ct_node(cold_query, root)
         assert [c.cost for c in warm] == [c.cost for c in cold]
-        assert warm_exp < cold_exp
+        assert warm_query.ll_expansions < cold_query.ll_expansions
 
 
 class TestConflictTableFollowsTheTree:
@@ -205,8 +211,11 @@ class TestConflictTableFollowsTheTree:
         kept = plan(build(), starts, goals, config)
         assert not any(isinstance(v, LatticeDomain) for others in given
                        for v in vars(others).values())
-        monkeypatch.setattr(hl, "expand_ct_node",
-                            lambda *args: fresh(*args[:8]))  # no table passed
+
+        def per_node(query, node):  # a fresh table and memo per node
+            query.table, query.memo = query.domain.Table(), {}
+            return fresh(query, node)
+        monkeypatch.setattr(hl, "expand_ct_node", per_node)
         rebuilt = plan(build(), starts, goals, config)
         assert (kept.status, kept.solution, kept.cost, kept.lb) == \
             (rebuilt.status, rebuilt.solution, rebuilt.cost, rebuilt.lb)
@@ -254,13 +263,14 @@ class TestOneSyncPath:
                       tuple(detect_conflicts(paths, domain)), tuple(lbs))
 
     @staticmethod
-    def _expand(domain, node, starts, goals, config, llp, *table):
+    def _expand(domain, node, starts, goals, config, table=None):
+        query = _context(domain, starts, goals, config, first=100)
+        if table is not None:
+            query.table = table
         checks = domain.stats.geometry_checks
-        children, ll, timed_out = expand_ct_node(
-            domain, node, starts, goals, config, llp, None, itertools.count(100),
-            *table)
+        children, timed_out = expand_ct_node(query, node)
         return ([(c.index, c.constraints, c.paths, c.cost, c.conflicts, c.lbs)
-                 for c in children], ll, timed_out,
+                 for c in children], query.ll_expansions, timed_out,
                 domain.stats.geometry_checks - checks)
 
     LLP = LLParams(w1=1.5, w2=1.3, f2="conflicts")
@@ -277,13 +287,12 @@ class TestOneSyncPath:
         domain, starts, goals, root = instance
         config = cfg(data.draw(st.sampled_from(["ecbs", "xecbs"])),
                      w1L=self.LLP.w1, w2L=self.LLP.w2, wH=1.3)
-        llp = self.LLP
         # grow a tree through one table, expanding nodes in a drawn order
-        nodes, table, indexer = [root], domain.Table(), itertools.count(1)
+        nodes, grow = [root], _context(domain, starts, goals, config)
+        table = grow.table
         for _ in range(data.draw(st.integers(1, 4))):
             node = data.draw(st.sampled_from([n for n in nodes if n.conflicts]))
-            children, _, _ = expand_ct_node(domain, node, starts, goals, config,
-                                            llp, None, indexer, table)
+            children, _ = expand_ct_node(grow, node)
             nodes.extend(children)
             if not any(n.conflicts for n in nodes):
                 break
@@ -292,8 +301,8 @@ class TestOneSyncPath:
         if getattr(table, "span", 0) > getattr(fresh, "span", 0):
             event("the table's span exceeds a fresh table's")
         cold = copy.deepcopy(domain)
-        assert self._expand(domain, node, starts, goals, config, llp, table) == \
-            self._expand(cold, node, starts, goals, config, llp)
+        assert self._expand(domain, node, starts, goals, config, table) == \
+            self._expand(cold, node, starts, goals, config)
         assert list(table) == list(enumerate(node.paths))
         assert table.last == fresh.last
 
@@ -324,18 +333,16 @@ class TestOneSyncPath:
         domain = GridDomain(3, 2)
         starts, goals = SWAP["starts"], SWAP["goals"]
         config = cfg("ecbs", w1L=self.LLP.w1, w2L=self.LLP.w2, wH=1.3)
-        llp = self.LLP
-        root = self._root(domain, starts, goals, llp)
-        table = domain.Table()
-        children, _, _ = expand_ct_node(domain, root, starts, goals, config, llp,
-                                        None, itertools.count(1), table)
-        expand_ct_node(domain, children[0], starts, goals, config, llp, None,
-                       itertools.count(1), table)
+        root = self._root(domain, starts, goals, self.LLP)
+        grow = _context(domain, starts, goals, config)
+        children, _ = expand_ct_node(grow, root)
+        expand_ct_node(grow, children[0])
+        table = grow.table
         fresh = domain.Table(enumerate(root.paths))
         assert table.span > fresh.span
         cold = copy.deepcopy(domain)
-        assert self._expand(domain, root, starts, goals, config, llp, table) == \
-            self._expand(cold, root, starts, goals, config, llp)
+        assert self._expand(domain, root, starts, goals, config, table) == \
+            self._expand(cold, root, starts, goals, config)
         assert list(table) == list(enumerate(root.paths))
         assert table.last == fresh.last
 
@@ -360,14 +367,13 @@ class TestRescanFromFirstChange:
             root = TestOneSyncPath._root(domain, starts, goals, llp)
             if root.conflicts:
                 break
-        nodes, table, indexer = [root], domain.Table(), itertools.count(1)
+        nodes, grow = [root], _context(domain, starts, goals, config)
         for _ in range(data.draw(st.integers(1, 6))):
             branchable = [n for n in nodes if n.conflicts]
             if not branchable:
                 break
             node = data.draw(st.sampled_from(branchable))
-            children, _, _ = expand_ct_node(domain, node, starts, goals, config,
-                                            llp, None, indexer, table)
+            children, _ = expand_ct_node(grow, node)
             for child in children:
                 (c,) = child.constraints - node.constraints
                 assert first_change(node.paths[c.agent], child.paths[c.agent]) \
@@ -430,24 +436,24 @@ class TestReplanMemo:
                         f2="conflicts" if config.focal else "f1")
 
     @staticmethod
-    def _fresh(domain, node, c, starts, goals, config, llp):
+    def _fresh(domain, node, c, query):
         """A fresh solve of the replan that constraint ``c`` of ``node``
-        asks for, from the node itself."""
-        agent = c.agent
+        asks for in ``query``, from the node itself."""
+        agent, config = c.agent, query.config
         others = [(j, p) for j, p in enumerate(node.paths) if j != agent] \
             if config.focal else None
         experience = node.paths[agent].waypoints if config.use_experience else ()
-        return solve(domain, agent, starts[agent], goals[agent],
-                     node.constraints | {c}, experience, llp, other_paths=others)
+        return solve(domain, agent, query.starts[agent], query.goals[agent],
+                     node.constraints | {c}, experience, query.llp,
+                     other_paths=others)
 
-    def _expand(self, instance, cold, node, indexer, table, memo):
-        """Expand ``node`` through ``memo``, checking each hit against a
-        fresh solve on ``cold``, a copy of the domain; returns (children,
-        LL expansions, hits)."""
-        domain, starts, goals, config, llp = instance
+    def _expand(self, query, cold, node):
+        """Expand ``node`` through ``query``, whose memo is a `_LoggedMemo`,
+        checking each hit against a fresh solve on ``cold``, a copy of the
+        domain; returns (children, LL expansions, hits)."""
+        memo, ll_before = query.memo, query.ll_expansions
         memo.lookups.clear()
-        children, ll, timed_out = expand_ct_node(
-            domain, node, starts, goals, config, llp, None, indexer, table, memo)
+        children, timed_out = expand_ct_node(query, node)
         assert not timed_out
         constraints = hl.conflict_to_constraints(node.conflicts[0])
         assert len(memo.lookups) == len(constraints)
@@ -456,11 +462,11 @@ class TestReplanMemo:
             if hit is None:
                 continue
             hits += 1
-            fresh = self._fresh(cold, node, c, starts, goals, config, llp)
+            fresh = self._fresh(cold, node, c, query)
             assert (hit.path, hit.cost, hit.lower_bound, hit.expansions,
                     hit.status) == (fresh.path, fresh.cost, fresh.lower_bound,
                                     fresh.expansions, fresh.status)
-        return children, ll, hits
+        return children, query.ll_expansions - ll_before, hits
 
     def _check(self, data, rng, draw):
         variant = data.draw(st.sampled_from(sorted(self.WEIGHTS)))
@@ -473,29 +479,26 @@ class TestReplanMemo:
             if root.conflicts:
                 break
         # grow a tree through one memo and one table, in a drawn order
-        instance = (domain, starts, goals, config, llp)
-        nodes, table, indexer = [root], domain.Table(), itertools.count(1)
-        memo, grown = _LoggedMemo(), []
+        query, nodes, grown = _context(domain, starts, goals, config), [root], []
+        query.memo = _LoggedMemo()
         for _ in range(data.draw(st.integers(1, 8))):
             branchable = [n for n in nodes if n.conflicts]
             if not branchable:
                 break
             node = data.draw(st.sampled_from(branchable))
-            first = next(indexer)
-            children, ll, hits = self._expand(instance, cold, node,
-                                              itertools.chain([first], indexer),
-                                              table, memo)
+            children, ll, hits = self._expand(query, cold, node)
             if hits:
                 event("memo hit")
-            grown.append((node, first, children, ll))
+            # the indexer is drawn from only for a child
+            grown.append((node, children[0].index if children else 1, children, ll))
             nodes.extend(children)
-        # tree parity: each node expanded again with a fresh memo per call
+        # tree parity: each node expanded again in a fresh context per call
         for node, first, children, ll in grown:
-            again, ll_again, timed_out = expand_ct_node(
-                cold, node, starts, goals, config, llp, None,
-                itertools.count(first))
+            again_query = _context(cold, starts, goals, config, first=first)
+            again, timed_out = expand_ct_node(again_query, node)
             assert not timed_out
-            assert (_summary(again), ll_again) == (_summary(children), ll)
+            assert (_summary(again), again_query.ll_expansions) == \
+                (_summary(children), ll)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(0, 10**6))
@@ -531,9 +534,9 @@ class TestReplanMemo:
         bent = CTNode(1, frozenset(), (detour, straight.paths[1]),
                       detour.duration + straight.paths[1].duration,
                       straight.conflicts[:1], straight.lbs)
-        instance, memo = (domain, starts, goals, config, llp), _LoggedMemo()
-        hits = [self._expand(instance, copy.deepcopy(domain), node,
-                             itertools.count(2), None, memo)[2]
+        query = _context(domain, starts, goals, config, first=2)
+        query.memo = _LoggedMemo()
+        hits = [self._expand(query, copy.deepcopy(domain), node)[2]
                 for node in (straight, bent)]
         # agent 1's replan repeats unless its input holds agent 0's path
         assert hits == [0, 0 if config.focal else 1]
@@ -544,15 +547,12 @@ class TestReplanMemo:
         llp = self._llp(config)
         domain, starts, goals = SWAP["domain"](), SWAP["starts"], SWAP["goals"]
         root = TestOneSyncPath._root(domain, starts, goals, llp)
-        memo = {}
-        children, _, timed_out = expand_ct_node(
-            domain, root, starts, goals, config, llp, time.monotonic() - 1.0,
-            itertools.count(1), None, memo)
-        assert timed_out and children == [] and memo == {}
-        children, _, timed_out = expand_ct_node(
-            domain, root, starts, goals, config, llp, None, itertools.count(1),
-            None, memo)
-        assert not timed_out and len(children) == 2 and len(memo) == 2
+        query = _context(domain, starts, goals, config, time.monotonic() - 1.0)
+        children, timed_out = expand_ct_node(query, root)
+        assert timed_out and children == [] and query.memo == {}
+        query.deadline = None
+        children, timed_out = expand_ct_node(query, root)
+        assert not timed_out and len(children) == 2 and len(query.memo) == 2
 
     def test_repeated_replans_are_not_solved_again(self, monkeypatch):
         # a cbs tree in which two replans repeat earlier ones
@@ -572,6 +572,55 @@ class TestReplanMemo:
         assert len(solves) - len(scene.starts) < replans
         # a hit counts its expansions as if it had run
         assert r.ll_expansions > sum(res.expansions for res in solves)
+
+
+class TestQueryTallies:
+    """The context's tallies make the result: `plan` reports one CT
+    expansion per `expand_ct_node` call however the query ends, and the
+    other planners expand no CT node."""
+
+    @staticmethod
+    def _counted(monkeypatch, expire_at=None):
+        """Count `expand_ct_node` calls; at call ``expire_at``, the deadline
+        passes before the node is expanded, or right after it when
+        ``expire_at`` is negative."""
+        calls, real = [], hl.expand_ct_node
+
+        def counted(query, node):
+            calls.append(node)
+            if expire_at == len(calls):
+                query.deadline = time.monotonic() - 1.0
+            out = real(query, node)
+            if expire_at == -len(calls):
+                query.deadline = time.monotonic() - 1.0
+            return out
+        monkeypatch.setattr(hl, "expand_ct_node", counted)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["cbs", "ecbs"])
+    @pytest.mark.parametrize("status,expire_at,horizon", [
+        ("success", None, None), ("timeout", 2, None), ("timeout", -1, None),
+        ("exhausted", None, 3)],
+        ids=["success", "timeout-in-expansion", "timeout-after-expansion",
+             "exhausted"])
+    def test_ct_expansions_count_the_calls(self, monkeypatch, variant, status,
+                                           expire_at, horizon):
+        calls = self._counted(monkeypatch, expire_at)
+        weights = dict(w2L=1.3, wH=1.3) if variant == "ecbs" else {}
+        r = plan(SWAP["domain"](), SWAP["starts"], SWAP["goals"],
+                 cfg(variant, horizon=horizon, **weights))
+        assert r.status == status
+        assert r.ct_expansions == len(calls) > 0
+        assert r.ll_expansions > 0
+
+    def test_other_planners_expand_no_ct_node(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        args = (SWAP["domain"](), SWAP["starts"], SWAP["goals"])
+        pp = plan_prioritized(*args)
+        oracle = plan_coupled_oracle(*args, horizon=12)
+        assert pp.success and oracle.success
+        assert pp.ct_expansions == oracle.ct_expansions == 0 and calls == []
+        assert pp.ll_expansions > 0
 
 
 def _fake_node(index, cost, lb, n_conflicts):
@@ -714,6 +763,11 @@ class TestCoupledOracle:
         r = plan_coupled_oracle(GridDomain(2, 1), [(0, 0), (1, 0)],
                                 [(1, 0), (0, 0)], horizon=8)
         assert not r.success and r.status == "exhausted"
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            plan_coupled_oracle(GridDomain(3, 2), [(0, 0), (2, 0)],
+                                [(2, 0), (0, 1)], horizon=-3)
 
     def test_guard_rejects_large_instances(self):
         g = GridDomain(8, 8)

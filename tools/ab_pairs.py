@@ -41,8 +41,18 @@ def parse_seeds(text: str) -> list[int]:
     """``401-410`` or ``401,405,409``."""
     if "-" in text and "," not in text:
         lo, hi = map(int, text.split("-"))
+        if hi < lo:
+            raise ValueError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
     return [int(s) for s in text.split(",")]
+
+
+def positive_int(text: str) -> int:
+    """An integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
 
 
 def read_result(stdout: str) -> dict:
@@ -119,7 +129,7 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True)
-    p.add_argument("--pairs", type=int)
+    p.add_argument("--pairs", type=positive_int)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--command", default="python3 perfbench/run.py")
     args = p.parse_args(argv)
